@@ -1,4 +1,4 @@
-"""Shard scaling benchmark — multi-process fan-out + vectorized decode.
+"""Shard scaling benchmark — multi-process fan-out + batch decode.
 
 Writes ``BENCH_shards.json`` with the two curves the scale-out layer is
 judged on:
@@ -7,9 +7,10 @@ judged on:
   determinism half of the bar (merged payload bit-identical at every
   count) is asserted unconditionally; the wall-clock half (≥ 2x at 4
   workers) only where the host actually has 4 CPUs to scale onto.
-- **batch decode**: vectorized vs scalar decode over 1k pipeline
-  requests.  The ≥ 3x bar is algorithmic — shared-prefix parses and
-  few-shot fits amortize across the batch — so it holds on any host.
+- **batch decode**: the client's decode vs the memo-free reference
+  decoder over 1k pipeline requests.  The ≥ 3x bar is algorithmic —
+  shared-prefix parses and few-shot fits amortize across the batch — so
+  it holds on any host.
 """
 
 import json
@@ -47,7 +48,7 @@ def test_shard_scaling_and_decode(benchmark, seed):
     assert [run["workers"] for run in scaling["runs"]] == [1, 2, 4, 8]
 
     decode = payload["decode"]
-    assert decode["identical"], "vectorized decode diverged from scalar"
+    assert decode["identical"], "client decode diverged from the reference"
     assert decode["speedup"] >= 3.0, (
         f"batch decode speedup {decode['speedup']:.2f}x is below the 3x bar"
     )

@@ -39,7 +39,6 @@ from repro.errors import (
     RateLimitError,
     TransientLLMError,
 )
-from repro.llm.accounting import request_prompt_tokens
 from repro.llm.base import CompletionRequest, CompletionResponse, LLMClient
 from repro.llm.ratelimit import LaneClock, RateLimit, RateLimiter
 from repro.obs import RunObservation
@@ -345,7 +344,7 @@ class BatchExecutor:
             if self._limiter is not None:
                 try:
                     self._limiter.check(
-                        request_prompt_tokens(request),
+                        request.prompt_tokens,
                         now=start,
                         floor=min(self._clock.min_available, start),
                     )

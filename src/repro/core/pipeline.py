@@ -37,7 +37,6 @@ from repro.errors import (
     EvaluationError,
     ExecutionGiveUpError,
 )
-from repro.llm.accounting import request_prompt_tokens
 from repro.llm.base import CompletionRequest, LLMClient, Usage
 from repro.llm.profiles import get_profile
 from repro.obs import RunObservation
@@ -712,7 +711,7 @@ class Preprocessor:
                 obs.tracer.start_span(
                     "pipeline.prompt", ready_at, parent=batch_span,
                     n_messages=len(request.messages),
-                    prompt_tokens=request_prompt_tokens(request),
+                    prompt_tokens=request.prompt_tokens,
                 ),
                 ready_at,
             )

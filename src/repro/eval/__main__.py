@@ -639,7 +639,7 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
     )
     if not identical:
         print(
-            "error: sharded/vectorized results diverged from the reference",
+            "error: sharded/decoded results diverged from the reference",
             file=sys.stderr,
         )
         return 1
@@ -927,8 +927,8 @@ def main(argv: list[str] | None = None) -> int:
     flow_cmd.set_defaults(handler=_cmd_flow)
     shard_bench_cmd = sub.add_parser(
         "shard-bench",
-        help="measure the worker scaling curve and the vectorized "
-             "batch-decode speedup; writes BENCH_shards.json",
+        help="measure the worker scaling curve and the batch-decode "
+             "speedup over the reference decoder; writes BENCH_shards.json",
     )
     shard_bench_cmd.add_argument("--out", default="BENCH_shards.json",
                                  help="where to write the benchmark report")

@@ -75,20 +75,14 @@ class SimulatedBackend:
 
     model: str = "gpt-3.5"
     seed: int = 0
-    decode: str = "scalar"
 
     def build(self) -> LLMClient:
         from repro.llm.simulated import SimulatedLLM
 
-        return SimulatedLLM(self.model, seed=self.seed, decode=self.decode)
+        return SimulatedLLM(self.model, seed=self.seed)
 
     def describe(self) -> dict:
-        return {
-            "kind": "simulated",
-            "model": self.model,
-            "seed": self.seed,
-            "decode": self.decode,
-        }
+        return {"kind": "simulated", "model": self.model, "seed": self.seed}
 
 
 def _fault_payload(fault: Fault | None) -> dict | None:

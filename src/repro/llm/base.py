@@ -8,9 +8,11 @@ one-class change: messages in, text + usage out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 from repro.errors import LLMError
+from repro.text.tokenize import count_lines
 
 _VALID_ROLES = ("system", "user", "assistant")
 
@@ -27,6 +29,16 @@ class ChatMessage:
             raise LLMError(
                 f"invalid role {self.role!r}; expected one of {_VALID_ROLES}"
             )
+
+    @cached_property
+    def line_tokens(self) -> tuple[int, ...]:
+        """Token count of each line of ``content``, counted once.
+
+        They sum to the content's token count.  A request's final message
+        (the question block) is counted this way, so one pass gives the
+        request its total and each question its own length.
+        """
+        return count_lines(self.content)
 
 
 @dataclass(frozen=True)
@@ -52,6 +64,18 @@ class CompletionRequest:
     def transcript(self) -> list[tuple[str, str]]:
         """(role, content) pairs — the token-accounting view."""
         return [(m.role, m.content) for m in self.messages]
+
+    @cached_property
+    def prompt_tokens(self) -> int:
+        """The transcript's token count: what the API bills as prompt.
+
+        Counted by :func:`~repro.llm.accounting.request_prompt_tokens` the
+        first time anything asks, then carried: the pipeline, the rate
+        limiters, the client and the meter all read this one value.
+        """
+        from repro.llm.accounting import request_prompt_tokens
+
+        return request_prompt_tokens(self)
 
 
 @dataclass(frozen=True)

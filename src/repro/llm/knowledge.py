@@ -77,6 +77,8 @@ class KnowledgeBase:
         self._model = model
         self._coverage = coverage
         self._concept_coverage = concept_coverage
+        #: attribute -> known domain; keys are the domain tables' names
+        self._domains: dict[str, frozenset[str] | None] = {}
 
     # -- geography ---------------------------------------------------------
 
@@ -178,8 +180,11 @@ class KnowledgeBase:
         Membership is gated *per value* (slightly boosted — category
         vocabularies are high-frequency training data), so a weaker model
         knows a thinner slice of each domain rather than losing whole
-        domains at once.
+        domains at once.  Computed once per attribute: the gate is a pure
+        function of the model and the fact, so the domain never changes.
         """
+        if attribute in self._domains:
+            return self._domains[attribute]
         table = self._domain_tables().get(attribute)
         if table is None:
             return None
@@ -191,7 +196,8 @@ class KnowledgeBase:
             for value in table
             if _knows(self._model, f"domain:{attribute}:{value}", coverage)
         )
-        return known if known else None
+        self._domains[attribute] = known if known else None
+        return self._domains[attribute]
 
     @staticmethod
     @lru_cache(maxsize=1)

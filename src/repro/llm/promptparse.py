@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.contextualize import parse_record_pair, parse_serialized_record
 from repro.data.instances import Task
 from repro.errors import LLMError
-from repro.llm.base import CompletionRequest
+from repro.llm.base import ChatMessage, CompletionRequest
+from repro.text.tokenize import count_tokens
 
 _TARGET_RE = re.compile(r'the "([^"]+)" attribute')
 _QUESTION_RE = re.compile(r"^\s*Question\s+(\d+)\s*:\s*(.*)$")
@@ -48,6 +50,9 @@ class ParsedQuestion:
     #: ED/DI: the attribute this particular question asks about (few-shot
     #: examples may target a different attribute than the batch does)
     target: str | None = None
+    #: token count of ``raw``; set on the questions to answer (the model's
+    #: format fidelity decays with question length), ``None`` on examples
+    tokens: int | None = None
 
 
 @dataclass(frozen=True)
@@ -82,24 +87,33 @@ class _ParsedSystem:
     type_hint: str | None
 
 
+#: entries a :class:`PromptParseMemo` keeps per cache; past it the oldest
+#: entry goes, so a long-lived client stays bounded however many distinct
+#: prompt templates it serves
+MEMO_MAX_ENTRIES = 256
+
+
 class PromptParseMemo:
-    """A cross-request memo amortizing prompt parsing over a batch.
+    """A client's cache of the prompt blocks its requests share.
 
     Batched runs send hundreds of requests that share almost their entire
     transcript: the same system instruction and the same few-shot
     demonstration block, with only the final question block changing.
-    Scalar decoding re-parses that shared prefix for every request; the
-    memo parses each distinct block **once** and replays the result.
+    The memo parses each distinct shared block **once** and replays the
+    result, and keeps each solver's few-shot fit the same way.
+
+    It caches only blocks that repeat across requests — system texts,
+    few-shot (user, assistant) pairs and solver fits — never a request's
+    final question block, which is unique to that request.  Each cache
+    holds at most :data:`MEMO_MAX_ENTRIES` entries (oldest evicted first).
 
     Losslessness is structural: every cached function —
-    :func:`_detect_task` and friends over the system text,
-    :func:`_parse_examples` over one (user, assistant) message pair,
-    :func:`_questions_in` over one user message, and the token counts in
-    :mod:`repro.text.tokenize` — is a pure function of the message
-    *content*, and the cache key is exactly that content.  A memoized
-    parse therefore returns the same value the scalar path computes, so
-    ``SimulatedLLM(decode="vectorized")`` is bit-identical to the scalar
-    reference (property-tested in ``tests/llm/test_batch_decode.py``).
+    :func:`_detect_task` and friends over the system text, the example
+    parse of one (user, assistant) pair, a solver's fit over the example
+    content — is a pure, RNG-free function of the cache key given the
+    client's fixed profile and knowledge.  The memo-free reference
+    decoder in :mod:`repro.testing.reference` is the oracle it is tested
+    against.
 
     All cached values are frozen dataclasses (or tuples of them), shared
     safely across the :class:`ParsedPrompt` results, which keep their own
@@ -109,63 +123,36 @@ class PromptParseMemo:
     def __init__(self) -> None:
         self._systems: dict[str, _ParsedSystem] = {}
         self._examples: dict[tuple, tuple[ParsedExample, ...]] = {}
-        self._questions: dict[tuple, tuple[ParsedQuestion, ...]] = {}
-        self._token_counts: dict[str, int] = {}
         self._fits: dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
 
-    # -- block-level caches ----------------------------------------------
+    def __len__(self) -> int:
+        """Entries held, over all caches."""
+        return len(self._systems) + len(self._examples) + len(self._fits)
 
-    def system(self, system: str) -> _ParsedSystem:
-        cached = self._systems.get(system)
+    def _cached(self, cache: dict, key, compute):
+        cached = cache.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        task = _detect_task(system)
-        target = _detect_target(system, task)
-        cached = _ParsedSystem(
-            task=task,
-            reasoning="in two lines" in system,
-            confirm_target="confirm the target attribute" in system,
-            target=target,
-            type_hint=_detect_type_hint(system, target),
-        )
-        self._systems[system] = cached
+        cached = compute()
+        if len(cache) >= MEMO_MAX_ENTRIES:
+            del cache[next(iter(cache))]
+        cache[key] = cached
         return cached
+
+    def system(self, system: str) -> _ParsedSystem:
+        return self._cached(self._systems, system, lambda: _parse_system(system))
 
     def example_pair(
         self, user: str, assistant: str, task: Task
     ) -> tuple[ParsedExample, ...]:
-        key = (task, user, assistant)
-        cached = self._examples.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        questions = {q.number: q for q in _questions_in(user, task)}
-        answers = _answers_in(assistant)
-        cached = tuple(
-            ParsedExample(question=question, answer=answers[number])
-            for number, question in sorted(questions.items())
-            if number in answers
+        return self._cached(
+            self._examples, (task, user, assistant),
+            lambda: tuple(_examples_in(user, assistant, task)),
         )
-        self._examples[key] = cached
-        return cached
-
-    def questions(self, text: str, task: Task) -> tuple[ParsedQuestion, ...]:
-        key = (task, text)
-        cached = self._questions.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        cached = tuple(_questions_in(text, task))
-        self._questions[key] = cached
-        return cached
-
-    # -- solver fit cache -------------------------------------------------
 
     def fit(self, key: tuple, compute):
         """Memoize a solver's few-shot fit (thresholds, attribute weights).
@@ -178,40 +165,7 @@ class PromptParseMemo:
         are constant across its entries and ``key`` only needs to carry
         the solver tag and the example content.
         """
-        cached = self._fits.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        cached = compute()
-        self._fits[key] = cached
-        return cached
-
-    # -- token metering ---------------------------------------------------
-
-    def count_tokens(self, text: str) -> int:
-        """Memoized :func:`repro.text.tokenize.count_tokens`."""
-        cached = self._token_counts.get(text)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        from repro.text.tokenize import count_tokens
-
-        self.misses += 1
-        cached = count_tokens(text)
-        self._token_counts[text] = cached
-        return cached
-
-    def prompt_tokens(self, request: CompletionRequest) -> int:
-        """Transcript token count, identical to
-        :func:`repro.llm.accounting.request_prompt_tokens` by construction
-        (same per-message formula, memoized per content block)."""
-        total = 3
-        for role, content in request.transcript:
-            total += 4
-            total += self.count_tokens(role)
-            total += self.count_tokens(content)
-        return total
+        return self._cached(self._fits, key, compute)
 
 
 def parse_prompt(
@@ -223,62 +177,52 @@ def parse_prompt(
     sense of (no task instruction, no questions) — the moral equivalent of
     a model answering garbage to a garbage prompt, made loud.
 
-    With ``memo`` set, distinct system / few-shot / question blocks are
-    parsed once and replayed from the memo (see :class:`PromptParseMemo`);
-    the result is identical to the memo-less parse.
+    Shared system and few-shot blocks come through ``memo`` (a client
+    passes its own; without one a throwaway memo is used).  The questions
+    to answer — the last user message — are parsed fresh, each carrying
+    its token count from the message's line counts.
     """
+    if memo is None:
+        memo = PromptParseMemo()
     system_texts = [m.content for m in request.messages if m.role == "system"]
     if not system_texts:
         raise LLMError("prompt has no system message")
-    system = "\n".join(system_texts)
-
-    if memo is not None:
-        parsed_system = memo.system(system)
-        task = parsed_system.task
-        messages = list(request.messages)
-        examples: list[ParsedExample] = []
-        for i, message in enumerate(messages[:-1]):
-            if message.role == "user" and messages[i + 1].role == "assistant":
-                examples.extend(
-                    memo.example_pair(
-                        message.content, messages[i + 1].content, task
-                    )
-                )
-        questions: list[ParsedQuestion] = []
-        for message in reversed(messages):
-            if message.role == "user":
-                questions = list(memo.questions(message.content, task))
-                break
-        if not questions:
-            raise LLMError("prompt contains no questions to answer")
-        return ParsedPrompt(
-            task=task,
-            reasoning=parsed_system.reasoning,
-            target_attribute=parsed_system.target,
-            confirm_target=parsed_system.confirm_target,
-            type_hint=parsed_system.type_hint,
-            examples=examples,
-            questions=questions,
-        )
-
-    task = _detect_task(system)
-    reasoning = "in two lines" in system
-    confirm_target = "confirm the target attribute" in system
-    target = _detect_target(system, task)
-    type_hint = _detect_type_hint(system, target)
-
-    examples = _parse_examples(request, task)
-    questions = _parse_final_questions(request, task)
+    parsed_system = memo.system("\n".join(system_texts))
+    task = parsed_system.task
+    messages = request.messages
+    examples: list[ParsedExample] = []
+    for i, message in enumerate(messages[:-1]):
+        if message.role == "user" and messages[i + 1].role == "assistant":
+            examples.extend(
+                memo.example_pair(message.content, messages[i + 1].content, task)
+            )
+    questions: list[ParsedQuestion] = []
+    for message in reversed(messages):
+        if message.role == "user":
+            questions = _counted_questions(message, task)
+            break
     if not questions:
         raise LLMError("prompt contains no questions to answer")
     return ParsedPrompt(
         task=task,
-        reasoning=reasoning,
-        target_attribute=target,
-        confirm_target=confirm_target,
-        type_hint=type_hint,
+        reasoning=parsed_system.reasoning,
+        target_attribute=parsed_system.target,
+        confirm_target=parsed_system.confirm_target,
+        type_hint=parsed_system.type_hint,
         examples=examples,
         questions=questions,
+    )
+
+
+def _parse_system(system: str) -> _ParsedSystem:
+    task = _detect_task(system)
+    target = _detect_target(system, task)
+    return _ParsedSystem(
+        task=task,
+        reasoning="in two lines" in system,
+        confirm_target="confirm the target attribute" in system,
+        target=target,
+        type_hint=_detect_type_hint(system, target),
     )
 
 
@@ -307,7 +251,8 @@ def _detect_type_hint(system: str, target: str | None) -> str | None:
     return None
 
 
-def _parse_question_line(raw: str, number: int, task: Task) -> ParsedQuestion:
+def _parse_question_line(raw: str, number: int, task: Task,
+                         tokens: int | None = None) -> ParsedQuestion:
     if task in (Task.ERROR_DETECTION, Task.DATA_IMPUTATION):
         pattern = (
             _QUESTION_ED_TARGET_RE
@@ -320,9 +265,12 @@ def _parse_question_line(raw: str, number: int, task: Task) -> ParsedQuestion:
             raw=raw,
             fields=parse_serialized_record(raw),
             target=match.group(1).strip() if match else None,
+            tokens=tokens,
         )
     left, right = parse_record_pair(raw)
-    return ParsedQuestion(number=number, raw=raw, left=left, right=right)
+    return ParsedQuestion(
+        number=number, raw=raw, left=left, right=right, tokens=tokens
+    )
 
 
 def _questions_in(text: str, task: Task) -> list[ParsedQuestion]:
@@ -333,6 +281,33 @@ def _questions_in(text: str, task: Task) -> list[ParsedQuestion]:
             questions.append(
                 _parse_question_line(
                     match.group(2), int(match.group(1)), task
+                )
+            )
+    return questions
+
+
+@lru_cache(maxsize=256)
+def _prefix_tokens(prefix: str) -> int:
+    # "Question 3: " and its like: a few distinct strings per run
+    return count_tokens(prefix)
+
+
+def _counted_questions(message: ChatMessage, task: Task) -> list[ParsedQuestion]:
+    """The questions of ``message``, each with the token count of its text.
+
+    A question's count is its line's count (:attr:`ChatMessage.line_tokens`,
+    the pass that counted the request) minus its ``Question N:`` prefix:
+    no token spans the colon that ends the prefix.
+    """
+    questions = []
+    for line, tokens in zip(message.content.splitlines(), message.line_tokens):
+        match = _QUESTION_RE.match(line)
+        if match:
+            start = match.start(2)
+            questions.append(
+                _parse_question_line(
+                    match.group(2), int(match.group(1)), task,
+                    tokens=tokens - _prefix_tokens(line[:start]),
                 )
             )
     return questions
@@ -359,32 +334,12 @@ def _answers_in(text: str) -> dict[int, str]:
     return answers
 
 
-def _parse_examples(
-    request: CompletionRequest, task: Task
-) -> list[ParsedExample]:
-    """Pair up user questions with the following assistant answers."""
-    examples: list[ParsedExample] = []
-    messages = list(request.messages)
-    for i, message in enumerate(messages[:-1]):
-        if message.role != "user" or messages[i + 1].role != "assistant":
-            continue
-        questions = {
-            q.number: q for q in _questions_in(message.content, task)
-        }
-        answers = _answers_in(messages[i + 1].content)
-        for number, question in sorted(questions.items()):
-            if number in answers:
-                examples.append(
-                    ParsedExample(question=question, answer=answers[number])
-                )
-    return examples
-
-
-def _parse_final_questions(
-    request: CompletionRequest, task: Task
-) -> list[ParsedQuestion]:
-    """The questions of the last user message (the batch to answer)."""
-    for message in reversed(request.messages):
-        if message.role == "user":
-            return _questions_in(message.content, task)
-    return []
+def _examples_in(user: str, assistant: str, task: Task) -> list[ParsedExample]:
+    """Pair a few-shot turn's questions with the answers that follow."""
+    questions = {q.number: q for q in _questions_in(user, task)}
+    answers = _answers_in(assistant)
+    return [
+        ParsedExample(question=question, answer=answers[number])
+        for number, question in sorted(questions.items())
+        if number in answers
+    ]

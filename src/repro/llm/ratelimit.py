@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import LLMError, RateLimitError
-from repro.llm.accounting import request_prompt_tokens
 from repro.llm.base import CompletionRequest, CompletionResponse, LLMClient
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -296,7 +295,7 @@ class RetryingClient:
         return self._clock
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        tokens = request_prompt_tokens(request)
+        tokens = request.prompt_tokens
         backoff = self._base_backoff_s
         for attempt in range(self._max_retries + 1):
             try:

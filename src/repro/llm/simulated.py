@@ -24,13 +24,12 @@ import random
 
 from repro.data.instances import Task
 from repro.errors import ContextWindowExceededError, LLMError
-from repro.llm.accounting import meter_response, request_prompt_tokens
+from repro.llm.accounting import meter_response
 from repro.llm.base import CompletionRequest, CompletionResponse
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.profiles import ModelProfile, get_profile
 from repro.llm.promptparse import ParsedPrompt, PromptParseMemo, parse_prompt
 from repro.llm.solvers import DISolver, EDSolver, EMSolver, SMSolver, SolvedAnswer
-from repro.text.tokenize import count_tokens
 
 _RAMBLE_TEMPLATES = (
     "I think this one is tricky and it could go either way honestly",
@@ -50,37 +49,23 @@ class SimulatedLLM:
         or a :class:`ModelProfile` for custom models.
     seed:
         Client-level seed mixed into every request's determinism hash.
-    decode:
-        ``"scalar"`` (default) parses every prompt from scratch — the
-        bit-identical reference path.  ``"vectorized"`` amortizes prompt
-        parsing, token metering, and solver few-shot fitting across
-        requests through a
-        :class:`~repro.llm.promptparse.PromptParseMemo`: the shared
-        system/few-shot prefix of a batch is parsed (and its decision
-        thresholds fitted) once, then replayed for every request that
-        carries it.  The memo caches only pure, RNG-free functions of
-        message content given this client's fixed profile and knowledge,
-        so replies, usage, and latency are identical between the two
-        modes (property-tested); only the host-CPU decode cost changes.
+
+    Requests in a batch share their system/few-shot prefix, so the client
+    keeps a bounded :class:`~repro.llm.promptparse.PromptParseMemo`: each
+    shared block is parsed (and each solver's few-shot fit computed) once,
+    then replayed for every request that carries it.  The memo caches only
+    pure, RNG-free functions of message content given this client's fixed
+    profile and knowledge, so it changes host-CPU cost and nothing else;
+    the memo-free reference decoder in :mod:`repro.testing.reference` is
+    the oracle that pins replies, usage and latency.
     """
 
-    def __init__(
-        self,
-        model: str | ModelProfile = "gpt-3.5",
-        seed: int = 0,
-        decode: str = "scalar",
-    ):
-        if decode not in ("scalar", "vectorized"):
-            raise LLMError(
-                f"unknown decode mode {decode!r}; expected 'scalar' or "
-                f"'vectorized'"
-            )
+    def __init__(self, model: str | ModelProfile = "gpt-3.5", seed: int = 0):
         self._profile = (
             model if isinstance(model, ModelProfile) else get_profile(model)
         )
         self._seed = seed
-        self._decode = decode
-        self._memo = PromptParseMemo() if decode == "vectorized" else None
+        self._memo = PromptParseMemo()
         self._call_counter = 0
         self._knowledge = KnowledgeBase(
             model=self._profile.name,
@@ -97,13 +82,8 @@ class SimulatedLLM:
         return self._knowledge
 
     @property
-    def decode(self) -> str:
-        return self._decode
-
-    @property
-    def memo(self) -> PromptParseMemo | None:
-        """The decode memo (``None`` in scalar mode); exposes hit/miss
-        counters for the batch-decode benchmark."""
+    def memo(self) -> PromptParseMemo:
+        """The decode memo; exposes hit/miss counters and its size."""
         return self._memo
 
     def checkpoint_state(self) -> dict:
@@ -126,23 +106,17 @@ class SimulatedLLM:
                 f"client serves {self._profile.name!r}, request asks for "
                 f"{request.model!r}"
             )
-        prompt_tokens = (
-            request_prompt_tokens(request)
-            if self._memo is None
-            else self._memo.prompt_tokens(request)
-        )
+        prompt_tokens = request.prompt_tokens
         if prompt_tokens > self._profile.context_window:
             raise ContextWindowExceededError(
                 self._profile.name, prompt_tokens, self._profile.context_window
             )
-        parsed = parse_prompt(request, memo=self._memo)
+        parsed = parse_prompt(request, self._memo)
         rng = self._request_rng(request)
         solver = self._solver_for(parsed.task, rng, request.temperature)
         answers = solver.solve(parsed)
         text = self._render(parsed, answers, rng)
-        return meter_response(
-            self._profile, request, text, prompt_tokens=prompt_tokens
-        )
+        return meter_response(self._profile, request, text)
 
     def complete_batch(
         self, requests: list[CompletionRequest]
@@ -151,11 +125,7 @@ class SimulatedLLM:
 
         Equivalent to ``[self.complete(r) for r in requests]`` — the call
         counter advances exactly as it would for sequential calls, so the
-        replies are bit-identical to the one-at-a-time path.  In
-        vectorized mode the first request of the batch warms the memo with
-        the batch's shared system/few-shot prefix and every later request
-        decodes against it, which is where the amortization comes from;
-        callers holding a whole batch should prefer this entry point.
+        replies are bit-identical to the one-at-a-time path.
         """
         return [self.complete(request) for request in requests]
 
@@ -191,8 +161,7 @@ class SimulatedLLM:
         """Render answers, injecting format violations per fidelity."""
         blocks: list[str] = []
         for question, solved in zip(parsed.questions, answers):
-            question_tokens = count_tokens(question.raw)
-            fidelity = self._profile.fidelity_for(parsed.task, question_tokens)
+            fidelity = self._profile.fidelity_for(parsed.task, question.tokens)
             if rng.random() >= fidelity:
                 blocks.append(self._ramble(rng))
                 continue

@@ -26,18 +26,6 @@ def examples_key(examples) -> tuple:
     return tuple((e.question.raw, e.answer) for e in examples)
 
 
-def memoized_fit(memo, key: tuple, compute):
-    """Run ``compute`` through ``memo.fit`` when a memo is present.
-
-    Solvers call this around their few-shot fitting; with ``memo=None``
-    (the scalar decode path) it is a plain call, so the reference path
-    never touches a cache.
-    """
-    if memo is None:
-        return compute()
-    return memo.fit(key, compute)
-
-
 @dataclass(frozen=True)
 class ThresholdFit:
     """A decision threshold, either fitted from examples or a default.

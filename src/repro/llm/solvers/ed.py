@@ -24,17 +24,22 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from functools import lru_cache
 
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.profiles import ModelProfile
-from repro.llm.promptparse import ParsedExample, ParsedPrompt, ParsedQuestion
+from repro.llm.promptparse import (
+    ParsedExample,
+    ParsedPrompt,
+    ParsedQuestion,
+    PromptParseMemo,
+)
 from repro.llm.solvers.common import (
     BatchInterference,
     SolvedAnswer,
     ThresholdFit,
     default_threshold,
     examples_key,
-    memoized_fit,
     noisy,
 )
 from repro.text.similarity import levenshtein
@@ -56,7 +61,7 @@ class EDSolver:
         self._knowledge = knowledge
         self._rng = rng
         self._temperature = temperature
-        self._memo = memo
+        self._memo = memo if memo is not None else PromptParseMemo()
 
     # -- evidence ------------------------------------------------------------
 
@@ -230,8 +235,7 @@ class EDSolver:
     def solve(self, prompt: ParsedPrompt) -> list[SolvedAnswer]:
         target = prompt.target_attribute or ""
         careful = prompt.reasoning
-        fit = memoized_fit(
-            self._memo,
+        fit = self._memo.fit(
             ("ed", target, careful, examples_key(prompt.examples)),
             lambda: self._fit_threshold(prompt.examples, target, careful),
         )
@@ -301,8 +305,13 @@ class EDSolver:
         return SolvedAnswer(reason=reason, answer="yes" if decision else "no")
 
 
+@lru_cache(maxsize=4096)
 def _nearest_distance(value: str, domain: frozenset[str]) -> int | None:
-    """Smallest edit distance from ``value`` to any domain member."""
+    """Smallest edit distance from ``value`` to any domain member.
+
+    Cached (bounded, least recently used evicted first): a pure function
+    of its arguments, and the same near-miss values recur across a run.
+    """
     best: int | None = None
     for member in domain:
         if abs(len(member) - len(value)) > 2:

@@ -21,14 +21,18 @@ import re
 
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.profiles import ModelProfile
-from repro.llm.promptparse import ParsedExample, ParsedPrompt, ParsedQuestion
+from repro.llm.promptparse import (
+    ParsedExample,
+    ParsedPrompt,
+    ParsedQuestion,
+    PromptParseMemo,
+)
 from repro.llm.solvers.common import (
     BatchInterference,
     SolvedAnswer,
     ThresholdFit,
     default_threshold,
     examples_key,
-    memoized_fit,
     noisy,
 )
 from repro.text.normalize import expand_abbreviations, extract_phone, normalize_text
@@ -158,11 +162,10 @@ class EMSolver:
         self._knowledge = knowledge
         self._rng = rng
         self._temperature = temperature
-        self._memo = memo
+        self._memo = memo if memo is not None else PromptParseMemo()
 
     def solve(self, prompt: ParsedPrompt) -> list[SolvedAnswer]:
-        weights, fit = memoized_fit(
-            self._memo,
+        weights, fit = self._memo.fit(
             ("em", prompt.reasoning, examples_key(prompt.examples)),
             lambda: self._fit(prompt.examples, prompt.reasoning),
         )

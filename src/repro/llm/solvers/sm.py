@@ -18,14 +18,18 @@ import random
 
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.profiles import ModelProfile
-from repro.llm.promptparse import ParsedExample, ParsedPrompt, ParsedQuestion
+from repro.llm.promptparse import (
+    ParsedExample,
+    ParsedPrompt,
+    ParsedQuestion,
+    PromptParseMemo,
+)
 from repro.llm.solvers.common import (
     BatchInterference,
     SolvedAnswer,
     ThresholdFit,
     default_threshold,
     examples_key,
-    memoized_fit,
     noisy,
 )
 from repro.text.similarity import jaccard, token_set_ratio
@@ -68,7 +72,7 @@ class SMSolver:
         self._knowledge = knowledge
         self._rng = rng
         self._temperature = temperature
-        self._memo = memo
+        self._memo = memo if memo is not None else PromptParseMemo()
 
     def lexical_score(self, left: dict[str, str | None],
                       right: dict[str, str | None]) -> float:
@@ -85,8 +89,7 @@ class SMSolver:
         return score
 
     def solve(self, prompt: ParsedPrompt) -> list[SolvedAnswer]:
-        fit = memoized_fit(
-            self._memo,
+        fit = self._memo.fit(
             ("sm", examples_key(prompt.examples)),
             lambda: self._fit_threshold(prompt.examples),
         )

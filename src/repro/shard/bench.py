@@ -9,10 +9,11 @@ happens, never what it costs):
   merged payload digest is identical across all of them (the determinism
   half of the scaling story is measured in the same breath as the speed
   half).
-- **decode microbench** — the same request batch served by a scalar-decode
-  and a vectorized-decode :class:`~repro.llm.simulated.SimulatedLLM`;
-  reports the amortization speedup and verifies the replies match
-  text-for-text.
+- **decode microbench** — the same request batch served by the memo-free
+  reference decoder (:class:`~repro.testing.reference.ReferenceLLM`) and
+  by the production :class:`~repro.llm.simulated.SimulatedLLM`; reports
+  the amortization speedup and verifies the responses match in text,
+  usage and latency.
 
 ``python -m repro.eval shard-bench`` and ``benchmarks/test_shards.py``
 both come through :func:`run_shard_bench`.
@@ -46,7 +47,7 @@ def build_decode_requests(
     Realistic means what the pipeline actually sends: a shared system
     instruction and few-shot demonstration block (the bulk of the prompt)
     followed by one instance-specific question.  That shape is exactly
-    where vectorized decode wins — the shared prefix parses once.
+    where the client's memo wins — the shared prefix parses once.
     """
     from repro.core.config import PipelineConfig
     from repro.core.prompts import PromptBuilder
@@ -82,34 +83,40 @@ def decode_microbench(
     model: str = "gpt-3.5",
     seed: int = 0,
 ) -> dict:
-    """Scalar vs vectorized decode over the same ``n``-request batch."""
+    """Reference vs production decode over the same ``n``-request batch.
+
+    ``identical`` holds when every response (text, usage and latency)
+    matches.  Each arm starts with the process-wide caches empty.
+    """
+    # Imported here: repro.shard is on the sharded run's import path, and
+    # the oracle is a test-only dependency.
     from repro.llm.simulated import SimulatedLLM
+    from repro.testing.reference import ReferenceLLM, reset_caches
 
     requests = build_decode_requests(n, dataset=dataset, model=model, seed=seed)
 
-    scalar = SimulatedLLM(model, seed=seed, decode="scalar")
+    reset_caches()
+    reference = ReferenceLLM(model, seed=seed)
     started = time.perf_counter()
-    scalar_replies = scalar.complete_batch(requests)
-    scalar_s = time.perf_counter() - started
+    reference_replies = reference.complete_batch(requests)
+    reference_s = time.perf_counter() - started
 
-    vectorized = SimulatedLLM(model, seed=seed, decode="vectorized")
+    reset_caches()
+    client = SimulatedLLM(model, seed=seed)
     started = time.perf_counter()
-    vectorized_replies = vectorized.complete_batch(requests)
-    vectorized_s = time.perf_counter() - started
+    replies = client.complete_batch(requests)
+    client_s = time.perf_counter() - started
 
-    identical = [r.text for r in scalar_replies] == [
-        r.text for r in vectorized_replies
-    ]
-    memo = vectorized.memo
+    memo = client.memo
     return {
         "n": n,
         "dataset": dataset,
         "model": model,
-        "scalar_s": scalar_s,
-        "vectorized_s": vectorized_s,
-        "speedup": scalar_s / vectorized_s if vectorized_s > 0 else 0.0,
-        "identical": identical,
-        "memo": {"hits": memo.hits, "misses": memo.misses},
+        "reference_s": reference_s,
+        "client_s": client_s,
+        "speedup": reference_s / client_s if client_s > 0 else 0.0,
+        "identical": replies == reference_replies,
+        "memo": {"hits": memo.hits, "misses": memo.misses, "entries": len(memo)},
     }
 
 
@@ -200,8 +207,8 @@ def render_bench(payload: dict) -> str:
         )
     decode = payload["decode"]
     lines.append(
-        f"batch decode — n={decode['n']}  scalar={decode['scalar_s']:.2f}s  "
-        f"vectorized={decode['vectorized_s']:.2f}s  "
+        f"batch decode — n={decode['n']}  reference={decode['reference_s']:.2f}s  "
+        f"client={decode['client_s']:.2f}s  "
         f"speedup={decode['speedup']:.2f}x "
         f"(identical={decode['identical']})"
     )

@@ -13,6 +13,9 @@ behavior?".  Three layers, each cheaper than the last:
 * :mod:`repro.testing.fuzz` — seeded generation of malformed replies
   (``python -m repro.eval fuzz``) checking the parser's crash-freedom
   and shape invariants.
+
+:mod:`repro.testing.reference` holds the memo-free reference decoder the
+simulated model's production decode path is checked against.
 """
 
 from repro.testing.fuzz import (

@@ -1,0 +1,134 @@
+"""The reference decoder: the simulated model with nothing remembered.
+
+:class:`~repro.llm.simulated.SimulatedLLM` decodes on one path that skips
+repeated work: a bounded memo replays the parse of shared system and
+few-shot blocks and each solver's few-shot fit, a request counts its
+prompt once (shared blocks from a cache, the question block line by
+line), and each question's token count is read off its line's count.
+:class:`ReferenceLLM` is the oracle those shortcuts are tested against.
+It decodes every request from scratch:
+
+- the whole transcript is parsed (:func:`reference_parse_prompt`);
+- every solver fit is recomputed;
+- tokens are counted over the full transcript
+  (:func:`~repro.text.tokenize.count_message_tokens`) and over each
+  question's own text.
+
+It never reads a request's carried counts
+(:attr:`~repro.llm.base.CompletionRequest.prompt_tokens`,
+:attr:`~repro.llm.base.ChatMessage.line_tokens`), so running it beside the
+production client shares no decode state.  The model's kernels (knowledge
+domains, edit distances, Jaro similarity) belong to the model, not the
+decoder: both clients use them, and :func:`reset_caches` empties their
+process-wide caches so that a timing comparison starts both sides cold.
+
+Replies, usage and latency must match the production client exactly
+(``tests/llm/test_batch_decode.py``); the decode microbench
+(:func:`repro.shard.bench.decode_microbench`) times the two side by side.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from repro.errors import ContextWindowExceededError, LLMError
+from repro.llm import accounting, promptparse
+from repro.llm.base import CompletionRequest, CompletionResponse, Usage
+from repro.llm.profiles import ModelProfile
+from repro.llm.promptparse import ParsedExample, ParsedPrompt, ParsedQuestion
+from repro.llm.simulated import SimulatedLLM
+from repro.llm.solvers import ed
+from repro.text import similarity
+from repro.text.tokenize import count_message_tokens, count_tokens
+
+
+class _FitFromScratch:
+    """Takes the client memo's place in the solvers: nothing is kept."""
+
+    def fit(self, key: tuple, compute):
+        return compute()
+
+
+def reference_parse_prompt(request: CompletionRequest) -> ParsedPrompt:
+    """Parse a whole transcript with no memo, counting each question."""
+    system_texts = [m.content for m in request.messages if m.role == "system"]
+    if not system_texts:
+        raise LLMError("prompt has no system message")
+    system = promptparse._parse_system("\n".join(system_texts))
+    messages = request.messages
+    examples: list[ParsedExample] = []
+    for i, message in enumerate(messages[:-1]):
+        if message.role == "user" and messages[i + 1].role == "assistant":
+            examples.extend(
+                promptparse._examples_in(
+                    message.content, messages[i + 1].content, system.task
+                )
+            )
+    questions: list[ParsedQuestion] = []
+    for message in reversed(messages):
+        if message.role == "user":
+            questions = [
+                replace(question, tokens=count_tokens(question.raw))
+                for question in promptparse._questions_in(
+                    message.content, system.task
+                )
+            ]
+            break
+    if not questions:
+        raise LLMError("prompt contains no questions to answer")
+    return ParsedPrompt(
+        task=system.task,
+        reasoning=system.reasoning,
+        target_attribute=system.target,
+        confirm_target=system.confirm_target,
+        type_hint=system.type_hint,
+        examples=examples,
+        questions=questions,
+    )
+
+
+class ReferenceLLM(SimulatedLLM):
+    """A :class:`SimulatedLLM` that decodes every request from scratch.
+
+    Same profile, knowledge, seed and call counter as the production
+    client, so for the same call sequence it must give the same replies.
+    """
+
+    def __init__(self, model: str | ModelProfile = "gpt-3.5", seed: int = 0):
+        super().__init__(model, seed=seed)
+        self._memo = _FitFromScratch()
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        profile = self._profile
+        if request.model != profile.name:
+            raise LLMError(
+                f"client serves {profile.name!r}, request asks for "
+                f"{request.model!r}"
+            )
+        prompt_tokens = count_message_tokens(request.transcript)
+        if prompt_tokens > profile.context_window:
+            raise ContextWindowExceededError(
+                profile.name, prompt_tokens, profile.context_window
+            )
+        parsed = reference_parse_prompt(request)
+        rng = self._request_rng(request)
+        solver = self._solver_for(parsed.task, rng, request.temperature)
+        text = self._render(parsed, solver.solve(parsed), rng)
+        completion_tokens = count_tokens(text)
+        return CompletionResponse(
+            text=text,
+            model=profile.name,
+            usage=Usage(
+                prompt_tokens=prompt_tokens,
+                completion_tokens=completion_tokens,
+            ),
+            latency_s=profile.latency.latency(prompt_tokens, completion_tokens),
+        )
+
+
+def reset_caches() -> None:
+    """Empty every process-wide cache on the decode path."""
+    accounting._shared_block_tokens.cache_clear()
+    promptparse._prefix_tokens.cache_clear()
+    ed._nearest_distance.cache_clear()
+    similarity._jaro.cache_clear()

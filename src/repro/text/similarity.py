@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.text.normalize import normalize_text
@@ -51,7 +52,11 @@ def levenshtein_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / denom
 
 
+@lru_cache(maxsize=16384)
 def _jaro(a: str, b: str) -> float:
+    # Cached (bounded, least recently used evicted first): entity matching
+    # compares the same token pairs over and over, and the result is a
+    # pure function of the two strings.
     if a == b:
         return 1.0
     la, lb = len(a), len(b)

@@ -14,6 +14,11 @@ import re
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z]+)?|[^\sA-Za-z0-9]")
 _SUBWORD_CHARS = 6  # long words are split into ~6-character pieces by BPE
 
+#: ChatML framing: each message costs 4 tokens (``<|im_start|>{role}\n``
+#: ... ``<|im_end|>\n``) and the reply is primed with ``<|assistant|>``
+MESSAGE_FRAMING_TOKENS = 4
+REPLY_PRIMING_TOKENS = 3
+
 
 def word_tokens(text: str) -> list[str]:
     """Split text into word-level tokens; punctuation marks are tokens too."""
@@ -28,15 +33,23 @@ def count_tokens(text: str) -> int:
     splitting rare words into subwords); punctuation costs one token each.
     Whitespace is free (absorbed into word tokens, as in real BPE).
     """
-    if not text:
-        return 0
-    total = 0
-    for token in _WORD_RE.findall(text):
-        if len(token) <= _SUBWORD_CHARS:
-            total += 1
-        else:
-            total += -(-len(token) // _SUBWORD_CHARS)  # ceil division
+    tokens = _WORD_RE.findall(text)
+    total = len(tokens)
+    for token in tokens:
+        if len(token) > _SUBWORD_CHARS:
+            # ceil(len / _SUBWORD_CHARS) pieces, one already counted
+            total += (len(token) - 1) // _SUBWORD_CHARS
     return total
+
+
+def count_lines(text: str) -> tuple[int, ...]:
+    """:func:`count_tokens` of each line of ``text`` (``str.splitlines``).
+
+    No token contains whitespace and every line boundary is whitespace,
+    so the counts sum to ``count_tokens(text)``: one pass over a block
+    yields both its total and each line's share.
+    """
+    return tuple(count_tokens(line) for line in text.splitlines())
 
 
 def count_message_tokens(messages: list[tuple[str, str]]) -> int:
@@ -47,9 +60,9 @@ def count_message_tokens(messages: list[tuple[str, str]]) -> int:
     tokens per message plus 3 for the reply priming, matching the commonly
     documented ChatML accounting.
     """
-    total = 3  # reply is primed with <|assistant|>
+    total = REPLY_PRIMING_TOKENS
     for role, content in messages:
-        total += 4  # <|im_start|>{role}\n ... <|im_end|>\n
+        total += MESSAGE_FRAMING_TOKENS
         total += count_tokens(role)
         total += count_tokens(content)
     return total

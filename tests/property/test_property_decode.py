@@ -1,0 +1,132 @@
+"""Property tests for the decode path's counts and cached kernels.
+
+Every cache on the decode path is sound only because what it caches is a
+pure function of its key.  These properties state that directly: each
+cached kernel equals its uncached computation, a request's carried token
+count equals a full recount of its transcript, and line-by-line counting
+adds up to counting the whole block.
+"""
+
+import os
+import string
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.llm.base import ChatMessage, CompletionRequest
+from repro.llm.knowledge import KnowledgeBase
+from repro.llm.promptparse import parse_prompt
+from repro.llm.solvers.ed import _nearest_distance
+from repro.text.similarity import _jaro, jaro_winkler
+from repro.text.tokenize import (
+    count_lines,
+    count_message_tokens,
+    count_tokens,
+)
+
+words = st.text(alphabet=string.ascii_lowercase + "-'", min_size=0, max_size=10)
+texts = st.text(min_size=0, max_size=80)
+#: lines without line boundaries, so joining on "\n" round-trips
+lines = st.text(
+    alphabet=st.characters(
+        blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    ),
+    max_size=40,
+)
+#: record values and free text around them: no quotes, brackets or breaks
+values = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters='"[]\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029',
+    ),
+    max_size=30,
+)
+messages = st.lists(
+    st.tuples(st.sampled_from(["system", "user", "assistant"]), texts),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestCachedKernels:
+    @given(words, words)
+    def test_jaro_equals_the_uncached_computation(self, a, b):
+        assert _jaro(a, b) == _jaro.__wrapped__(a, b)
+        assert _jaro(a, b) == _jaro.__wrapped__(a, b)  # warm
+
+    @given(words, words)
+    def test_jaro_winkler_equals_the_uncached_computation(self, a, b):
+        jaro = _jaro.__wrapped__(a, b)
+        prefix = len(os.path.commonprefix([a[:4], b[:4]]))
+        assert jaro_winkler(a, b) == jaro + prefix * 0.1 * (1.0 - jaro)
+
+    @given(words, st.frozensets(words, max_size=8))
+    def test_nearest_distance_equals_the_uncached_computation(self, value, domain):
+        expected = _nearest_distance.__wrapped__(value, domain)
+        assert _nearest_distance(value, domain) == expected
+        assert _nearest_distance(value, domain) == expected  # warm
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(
+            ["workclass", "occupation", "country", "state", "sex", "city",
+             "measurecode", "income", "not-an-attribute"]
+        ),
+        st.sampled_from(["gpt-3.5", "gpt-4", "vicuna-13b"]),
+    )
+    @settings(max_examples=60)
+    def test_domain_of_is_computed_once_and_never_changes(
+        self, coverage, attribute, model
+    ):
+        warm = KnowledgeBase(model, coverage=coverage, concept_coverage=0.5)
+        first = warm.domain_of(attribute)
+        again = warm.domain_of(attribute)
+        fresh = KnowledgeBase(model, coverage=coverage, concept_coverage=0.5)
+        assert first == again == fresh.domain_of(attribute)
+
+
+class TestCarriedCounts:
+    @given(messages)
+    @settings(max_examples=80, deadline=None)
+    def test_carried_count_equals_a_full_recount(self, pairs):
+        request = CompletionRequest(
+            messages=tuple(ChatMessage(role=r, content=c) for r, c in pairs),
+            model="gpt-3.5",
+        )
+        assert request.prompt_tokens == count_message_tokens(request.transcript)
+
+    @given(texts)
+    def test_line_counts_add_up_to_the_block(self, text):
+        assert sum(count_lines(text)) == count_tokens(text)
+
+    @given(st.lists(lines, max_size=8))
+    def test_count_tokens_is_additive_over_newline_joined_lines(self, parts):
+        joined = "\n".join(parts)
+        assert count_tokens(joined) == sum(count_tokens(p) for p in parts)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 10**7), values, values), min_size=1,
+                 max_size=5),
+        st.sampled_from([" ", "", "  "]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_question_counts_equal_counting_each_question(self, questions, gap):
+        block = "\n".join(
+            f'Question {number}:{gap}{lead} Record is [name: "{value}"]. '
+            f'Is there an error in the "name" attribute?'
+            for number, lead, value in questions
+        )
+        request = CompletionRequest(
+            messages=(
+                ChatMessage(role="system", content=(
+                    "You are requested to detect whether there is an error "
+                    'in the "name" attribute.'
+                )),
+                ChatMessage(role="user", content=block),
+            ),
+            model="gpt-3.5",
+        )
+        parsed = parse_prompt(request)
+        assert len(parsed.questions) == len(questions)
+        for question in parsed.questions:
+            assert question.tokens == count_tokens(question.raw)

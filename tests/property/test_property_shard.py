@@ -17,9 +17,9 @@ from repro.core.contextualize import serialize_instance
 from repro.data.instances import EDInstance, PreprocessingDataset, Task
 from repro.llm.accounting import request_prompt_tokens
 from repro.llm.base import ChatMessage, CompletionRequest
-from repro.llm.promptparse import PromptParseMemo
 from repro.shard import merge_shards, plan_shards
 from repro.shard.plan import ShardPlan, ShardSpec
+from repro.text.tokenize import count_message_tokens
 
 _CONFIG = PipelineConfig()
 
@@ -166,7 +166,8 @@ class TestMemoProperties:
             ),
             model="gpt-3.5",
         )
-        memo = PromptParseMemo()
-        assert memo.prompt_tokens(request) == request_prompt_tokens(request)
-        # and again, through the warm cache
-        assert memo.prompt_tokens(request) == request_prompt_tokens(request)
+        reference = count_message_tokens(request.transcript)
+        assert request.prompt_tokens == reference
+        # and again, through the carried count and the warm block cache
+        assert request.prompt_tokens == reference
+        assert request_prompt_tokens(request) == reference
