@@ -1,7 +1,7 @@
 """Data-prep kernel scaling — scalar vs vectorized embedding path.
 
 Times ``HashingEmbedder.embed_all`` (the vectorized kernel behind cluster
-batching) against ``embed_all_scalar`` (the row-by-row reference) on
+batching) against ``embed_all_reference`` (the row-by-row reference) on
 record-style corpora of growing size, asserts the two produce bit-identical
 matrices, and requires the vectorized path to be at least
 ``MIN_SPEEDUP_AT_10K``x faster at the largest size.  The k-means
@@ -27,6 +27,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.eval.reporting import render_table
 from repro.ml.kmeans import KMeans
+from repro.testing.reference import embed_all_reference
 from repro.text.embeddings import HashingEmbedder, clear_hash_cache, hash_cache_size
 
 #: required scalar/vectorized wall-clock ratio at the 10k corpus
@@ -74,7 +75,7 @@ def _measure(embedder, corpus):
     # Tiny calls first: numpy's lazy first-use setup (ufunc dispatch,
     # sliding-window machinery) must not be billed to either path.
     embedder.embed_all(corpus[:32])
-    embedder.embed_all_scalar(corpus[:8])
+    embed_all_reference(embedder, corpus[:8])
 
     clear_hash_cache()
     started = time.perf_counter()
@@ -83,7 +84,7 @@ def _measure(embedder, corpus):
 
     warm_matrix, warm_s = _best_of(lambda: embedder.embed_all(corpus), rounds=3)
     scalar_matrix, scalar_s = _best_of(
-        lambda: embedder.embed_all_scalar(corpus), rounds=1
+        lambda: embed_all_reference(embedder, corpus), rounds=1
     )
     return {
         "cold_s": cold_s, "warm_s": warm_s, "scalar_s": scalar_s,

@@ -13,21 +13,15 @@ Usage::
                              [--journal run.journal | --resume run.journal]
                              [--degradation off|ladder]
                              [--workers N] [--shards S] [--resilience]
-    python -m repro.eval resilience-bench [--out BENCH_resilience.json]
-                                          [--size 360] [--concurrency 4]
-    python -m repro.eval shard-bench [--out BENCH_shards.json]
-                                     [--size 240] [--decode-n 1000]
     python -m repro.eval trace manifest.json [--chrome out.trace.json]
     python -m repro.eval golden [--update] [--cell NAME] [--store DIR]
-    python -m repro.eval serve-bench [--requests 200000] [--tenants 3]
-                                     [--out BENCH_serving.json]
     python -m repro.eval fuzz [--cases 200] [--seed 0]
     python -m repro.eval gen SCHEMA [--table T] [--rows N] [--seed 0]
                              [--group-size 4096] [--out rows.jsonl]
     python -m repro.eval chaos [--cell NAME] [--site SITE] [--workdir DIR]
     python -m repro.eval flow SPEC.yaml [--describe] [--workdir DIR]
                              [--resume] [--manifest OUT] [--concurrency N]
-    python -m repro.eval flow --reference [--bench BENCH_flow.json]
+    python -m repro.eval flow --reference
 
 Every cell prints as ``measured (paper)`` so the reproduction gap is
 visible inline.  ``--scale 1.0`` runs the published dataset sizes.
@@ -38,8 +32,9 @@ bit-identically.  ``trace`` renders a previously written manifest (and
 can convert its span trace to the Chrome ``chrome://tracing`` format).
 ``golden`` verifies (or, with ``--update``, re-records) the golden
 conformance snapshots; ``fuzz`` runs the deterministic reply fuzzer;
-``chaos`` runs the crash→resume determinism matrix.  All three exit
-non-zero on drift/violations.  ``flow`` runs (or ``--describe``s) a
+``chaos`` runs the crash→resume determinism matrix over healthy and
+degraded backends.  All three exit non-zero on drift/violations.
+``flow`` runs (or ``--describe``s) a
 declarative prep flow — a YAML stage DAG, or the shipped reference flow
 with ``--reference`` — with per-stage checkpointing under ``--workdir``
 and bit-identical ``--resume``.  ``gen`` streams rows from a factory
@@ -47,10 +42,8 @@ schema (file or preset) without materializing the table and prints their
 content digest; ``run --dataset schema:<path>`` evaluates the pipeline
 over such a schema directly.  ``run --resilience`` routes the run through
 a scripted backend brownout behind the failover/hedging/AIMD stack and
-prints the adaptive accounting; ``resilience-bench`` measures what that
-stack buys (quarantine avoidance, tail latency) and writes
-``BENCH_resilience.json``; ``chaos --resilience`` runs the crash→resume
-matrix through degraded backends.
+prints the adaptive accounting.  The subsystem benchmarks (shards,
+serving, resilience, flows) run as ``pytest benchmarks/test_*.py -s``.
 """
 
 from __future__ import annotations
@@ -258,26 +251,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resilience:
         # Demo stack: the primary suffers a scripted brownout while a
         # healthy secondary stands by behind the failover router; the
-        # executor runs with the adaptive (AIMD + hedging) config.
+        # executor runs with the pool's adaptive (AIMD + hedging) config.
         from repro.core.executor import ExecutorConfig
-        from repro.llm.faults import DegradedClient
-        from repro.resilience import (
-            FailoverClient,
-            ResilienceConfig,
-            brownout_plan,
-        )
+        from repro.resilience import brownout_plan, degraded_pool
 
-        client = FailoverClient(
-            [
-                ("primary", 0, DegradedClient(
-                    client, brownout_plan(seed=args.seed),
-                    backend_name="primary",
-                )),
-                ("secondary", 1, SimulatedLLM(args.model, seed=args.seed + 1)),
-            ],
-            ResilienceConfig(),
+        pool = degraded_pool(
+            args.model, args.seed, brownout_plan(seed=args.seed)
         )
-        executor_config = ExecutorConfig(resilience=ResilienceConfig())
+        client = pool.build()
+        executor_config = ExecutorConfig(resilience=pool.resilience)
     try:
         run = evaluate_pipeline(
             client, config, dataset,
@@ -334,15 +316,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run the crash→resume determinism matrix (the CI chaos job)."""
-    from repro.runtime import CRASH_SITES
-
-    if args.resilience:
-        from repro.resilience import (
-            default_resilience_chaos_cells as default_chaos_cells,
-            run_resilience_matrix as run_crash_matrix,
-        )
-    else:
-        from repro.runtime import default_chaos_cells, run_crash_matrix
+    from repro.runtime import CRASH_SITES, default_chaos_cells, run_crash_matrix
 
     cells = default_chaos_cells()
     if args.cell:
@@ -446,90 +420,17 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Run the multi-tenant serving benchmark; write BENCH_serving.json."""
-    from repro.serving import run_serve_bench
-
-    payload = run_serve_bench(
-        out_path=args.out,
-        n_requests=args.requests,
-        dataset_name=args.dataset,
-        dataset_size=args.size,
-        n_tenants=args.tenants,
-        seed=args.seed,
-        concurrency=args.concurrency,
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait,
-        coalesce=args.coalesce,
-        model=args.model,
-        baseline_requests=args.baseline_requests,
-    )
-    coalesced = payload["coalesced"]
-    print(
-        f"serve-bench: {coalesced['n_served']}/{payload['config']['n_requests']} "
-        f"served over {payload['config']['n_tenants']} tenant(s), "
-        f"{coalesced['n_batches']} coalesced batch(es)"
-    )
-    print(
-        f"p50 {payload['p50_latency_s']:.3f}s · p99 {payload['p99_latency_s']:.3f}s · "
-        f"{payload['throughput_rps']:.1f} req/s · "
-        f"coalesce rate {payload['coalesce_rate']:.3f} · "
-        f"cache hit rate {payload['cache_hit_rate']:.3f}"
-    )
-    print(
-        f"token cost per request: {payload['token_reduction']:.1f}x lower "
-        f"than uncoalesced"
-    )
-    print(f"report written to {args.out}")
-    return 0
-
-
-def _cmd_resilience_bench(args: argparse.Namespace) -> int:
-    """Run the three-arm resilience benchmark; write BENCH_resilience.json."""
-    from repro.resilience import render_bench, run_resilience_bench
-
-    payload = run_resilience_bench(
-        out_path=args.out,
-        dataset_name=args.dataset,
-        size=args.size,
-        seed=args.seed,
-        concurrency=args.concurrency,
-        model=args.model,
-    )
-    print(render_bench(payload))
-    print(f"report written to {args.out}")
-    return 0
-
-
 def _cmd_flow(args: argparse.Namespace) -> int:
     """Run, resume, or describe a declarative prep flow."""
     from pathlib import Path
 
     from repro.core.config import PipelineConfig
     from repro.errors import ConfigError
-    from repro.flow import (
-        FlowEngine,
-        load_flow_spec,
-        reference_spec,
-        run_flow_bench,
-    )
+    from repro.flow import FlowEngine, load_flow_spec, reference_spec
     from repro.llm.simulated import SimulatedLLM
     from repro.obs.manifest import canonical_json
     from repro.runtime import JournalError
 
-    if args.bench is not None:
-        payload = run_flow_bench(
-            out_path=args.bench, concurrency=args.concurrency
-        )
-        totals = payload["end_to_end"]
-        print(
-            f"flow-bench: {payload['flow']} — "
-            f"{totals['n_requests']} request(s), "
-            f"{totals['prompt_tokens'] + totals['completion_tokens']} "
-            f"tokens, {totals['estimated_seconds']:.2f}s simulated"
-        )
-        print(f"report written to {args.bench}")
-        return 0
     try:
         if args.reference:
             spec = reference_spec()
@@ -615,34 +516,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             canonical_json(result.manifest_payload()), encoding="utf-8"
         )
         print(f"manifest written to {args.manifest}")
-    return 0
-
-
-def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    """Measure the shard scaling curve and the batch-decode speedup."""
-    from repro.shard.bench import render_bench, run_shard_bench
-
-    payload = run_shard_bench(
-        out=args.out,
-        size=args.size,
-        n_shards=args.shards,
-        worker_counts=tuple(args.workers),
-        decode_n=args.decode_n,
-        dataset=args.dataset,
-        model=args.model,
-        seed=args.seed,
-    )
-    print(render_bench(payload))
-    print(f"report written to {args.out}")
-    identical = (
-        payload["scaling"]["identical"] and payload["decode"]["identical"]
-    )
-    if not identical:
-        print(
-            "error: sharded/decoded results diverged from the reference",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -806,31 +679,6 @@ def main(argv: list[str] | None = None) -> int:
                                  "(default: $REPRO_GOLDEN_DIFF_PATH or "
                                  "GOLDEN_DIFF.txt)")
     golden_cmd.set_defaults(handler=_cmd_golden)
-    serve_cmd = sub.add_parser(
-        "serve-bench",
-        help="replay a synthetic multi-tenant trace through the serving "
-             "layer and write BENCH_serving.json",
-    )
-    serve_cmd.add_argument("--out", default="BENCH_serving.json",
-                           help="where to write the benchmark report")
-    serve_cmd.add_argument("--requests", type=int, default=200_000,
-                           help="total requests across all tenants")
-    serve_cmd.add_argument("--dataset", default="adult")
-    serve_cmd.add_argument("--size", type=int, default=200,
-                           help="instance population the trace samples from")
-    serve_cmd.add_argument("--tenants", type=int, default=3)
-    serve_cmd.add_argument("--seed", type=int, default=0)
-    serve_cmd.add_argument("--concurrency", type=int, default=4)
-    serve_cmd.add_argument("--max-batch", type=int, default=8)
-    serve_cmd.add_argument("--max-wait", type=float, default=2.0,
-                           help="coalescer max wait (virtual seconds)")
-    serve_cmd.add_argument("--coalesce", default="window",
-                           choices=("eager", "window"))
-    serve_cmd.add_argument("--model", default="gpt-3.5")
-    serve_cmd.add_argument("--baseline-requests", type=int, default=2000,
-                           help="trace prefix replayed uncoalesced for the "
-                                "token-reduction baseline")
-    serve_cmd.set_defaults(handler=_cmd_serve_bench)
     fuzz_cmd = sub.add_parser(
         "fuzz", help="run the deterministic reply fuzzer"
     )
@@ -876,24 +724,7 @@ def main(argv: list[str] | None = None) -> int:
                            help="where to write the drift report "
                                 "(default: $REPRO_CHAOS_DIFF_PATH or "
                                 "CHAOS_DIFF.txt)")
-    chaos_cmd.add_argument("--resilience", action="store_true",
-                           help="run the matrix through scripted-degraded "
-                                "backends behind the failover stack "
-                                "(brownout and blackout scenarios)")
     chaos_cmd.set_defaults(handler=_cmd_chaos)
-    resilience_bench_cmd = sub.add_parser(
-        "resilience-bench",
-        help="measure what the adaptive stack buys under a scripted "
-             "brownout+blackout; writes BENCH_resilience.json",
-    )
-    resilience_bench_cmd.add_argument("--out", default="BENCH_resilience.json",
-                                      help="where to write the report")
-    resilience_bench_cmd.add_argument("--dataset", default="adult")
-    resilience_bench_cmd.add_argument("--size", type=int, default=360)
-    resilience_bench_cmd.add_argument("--seed", type=int, default=0)
-    resilience_bench_cmd.add_argument("--concurrency", type=int, default=4)
-    resilience_bench_cmd.add_argument("--model", default="gpt-3.5")
-    resilience_bench_cmd.set_defaults(handler=_cmd_resilience_bench)
     flow_cmd = sub.add_parser(
         "flow",
         help="run, resume, or describe a declarative prep flow "
@@ -921,29 +752,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="worker processes for independent stages "
                                "(default 1; >1 runs each stage with a "
                                "hermetic per-stage client)")
-    flow_cmd.add_argument("--bench", default=None, metavar="OUT",
-                          help="benchmark the reference flow and write "
-                               "per-stage + end-to-end numbers to OUT")
     flow_cmd.set_defaults(handler=_cmd_flow)
-    shard_bench_cmd = sub.add_parser(
-        "shard-bench",
-        help="measure the worker scaling curve and the batch-decode "
-             "speedup over the reference decoder; writes BENCH_shards.json",
-    )
-    shard_bench_cmd.add_argument("--out", default="BENCH_shards.json",
-                                 help="where to write the benchmark report")
-    shard_bench_cmd.add_argument("--size", type=int, default=240,
-                                 help="instances in the scaling run")
-    shard_bench_cmd.add_argument("--shards", type=int, default=8)
-    shard_bench_cmd.add_argument("--workers", type=int, nargs="+",
-                                 default=[1, 2, 4, 8],
-                                 help="worker counts to sweep")
-    shard_bench_cmd.add_argument("--decode-n", type=int, default=1000,
-                                 help="requests in the decode microbench")
-    shard_bench_cmd.add_argument("--dataset", default="adult")
-    shard_bench_cmd.add_argument("--model", default="gpt-3.5")
-    shard_bench_cmd.add_argument("--seed", type=int, default=0)
-    shard_bench_cmd.set_defaults(handler=_cmd_shard_bench)
     args = parser.parse_args(argv)
     return args.handler(args) or 0
 

@@ -12,8 +12,7 @@ The :mod:`repro.flow` package turns the isolated table-level workflows
 - :mod:`repro.flow.tables` — dataset-derived input tables and seeded
   corruption injectors;
 - :mod:`repro.flow.spec` — the YAML declaration format;
-- :mod:`repro.flow.reference` — the shipped 4-stage reference flow and
-  its benchmark.
+- :mod:`repro.flow.reference` — the shipped 4-stage reference flow.
 """
 
 from repro.flow.engine import (
@@ -44,7 +43,6 @@ from repro.flow.reference import (
     REFERENCE_FLOW_DOC,
     REFERENCE_FLOW_YAML,
     reference_spec,
-    run_flow_bench,
     run_reference_flow,
 )
 from repro.flow.spec import (
@@ -83,7 +81,6 @@ __all__ = [
     "REFERENCE_FLOW_DOC",
     "REFERENCE_FLOW_YAML",
     "reference_spec",
-    "run_flow_bench",
     "run_reference_flow",
     "CorruptionSpec",
     "FlowSpec",

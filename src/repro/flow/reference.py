@@ -10,10 +10,6 @@ The spec exists in two equivalent forms — :data:`REFERENCE_FLOW_DOC`
 (a plain dict, so the reference path never needs PyYAML) and
 :data:`REFERENCE_FLOW_YAML` (the YAML text shipped under
 ``examples/flows/``); a conformance test holds their payloads equal.
-
-:func:`run_flow_bench` runs the reference flow on the simulated clock and
-writes ``BENCH_flow.json`` with per-stage and end-to-end tokens, request
-counts, and latency.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from repro.core.config import PipelineConfig
 from repro.flow.engine import FlowEngine, FlowResult
 from repro.flow.spec import FlowSpec, parse_flow
 from repro.llm.simulated import SimulatedLLM
-from repro.obs.manifest import canonical_json
 
 REFERENCE_FLOW_DOC: dict = {
     "flow": "clean_match_beer",
@@ -142,51 +137,3 @@ def run_reference_flow(
     tables, __ = spec.build_inputs()
     return engine.run(spec.graph, tables, keep_raw=keep_raw, chaos=chaos)
 
-
-def run_flow_bench(
-    out_path: str | Path = "BENCH_flow.json",
-    concurrency: int = 1,
-) -> dict:
-    """Benchmark the reference flow; write per-stage + end-to-end numbers.
-
-    All quantities come from the simulated clock and token meter, so the
-    file is reproducible byte-for-byte at a fixed concurrency.
-    """
-    result = run_reference_flow(concurrency=concurrency)
-    stages = {}
-    for name in result.order:
-        stage = result.stages[name]
-        stages[name] = {
-            "kind": stage.kind,
-            "prompt_tokens": stage.report.usage.prompt_tokens,
-            "completion_tokens": stage.report.usage.completion_tokens,
-            "n_requests": stage.report.n_requests,
-            "estimated_seconds": stage.report.estimated_seconds,
-            "n_quarantined": len(stage.quarantine),
-            "prep_cache_hits": stage.report.prep_cache_hits,
-            "prep_cache_misses": stage.report.prep_cache_misses,
-        }
-    payload = {
-        "benchmark": "flow_reference",
-        "flow": "clean_match_beer",
-        "concurrency": concurrency,
-        "stages": stages,
-        "end_to_end": {
-            "prompt_tokens": result.report.usage.prompt_tokens,
-            "completion_tokens": result.report.usage.completion_tokens,
-            "n_requests": result.report.n_requests,
-            "estimated_seconds": result.report.estimated_seconds,
-            "prep_cache_hits": result.report.prep_cache_hits,
-            "prep_cache_misses": result.report.prep_cache_misses,
-        },
-        "outputs": {
-            "flagged": len(result.stages["detect"].output["flagged"]),
-            "imputed": len(result.stages["impute"].output["imputed"]),
-            "correspondences": len(
-                result.stages["align"].output["correspondences"]
-            ),
-            "matches": len(result.stages["match"].output["matches"]),
-        },
-    }
-    Path(out_path).write_text(canonical_json(payload))
-    return payload

@@ -9,13 +9,6 @@ plans, so degraded runs replay bit-identically.
 """
 
 from repro.resilience.aimd import AimdController
-from repro.resilience.bench import bench_plan, render_bench, run_resilience_bench
-from repro.resilience.chaos import (
-    ResilienceChaosCell,
-    default_resilience_chaos_cells,
-    run_resilience_matrix,
-    run_resilience_trial,
-)
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.degradation import (
     EPISODE_KINDS,
@@ -25,7 +18,7 @@ from repro.resilience.degradation import (
     brownout_plan,
 )
 from repro.resilience.health import BackendHealth
-from repro.resilience.pool import PoolBackend, PoolMember
+from repro.resilience.pool import PoolBackend, PoolMember, degraded_pool
 from repro.resilience.router import FailoverClient
 from repro.resilience.signals import ThrottleSignal, attach, throttle_of
 
@@ -38,17 +31,11 @@ __all__ = [
     "FailoverClient",
     "PoolBackend",
     "PoolMember",
-    "ResilienceChaosCell",
     "ResilienceConfig",
     "ThrottleSignal",
     "attach",
-    "bench_plan",
     "blackout_plan",
     "brownout_plan",
-    "default_resilience_chaos_cells",
-    "render_bench",
-    "run_resilience_bench",
-    "run_resilience_matrix",
-    "run_resilience_trial",
+    "degraded_pool",
     "throttle_of",
 ]

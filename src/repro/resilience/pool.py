@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.resilience.config import ResilienceConfig
+from repro.resilience.degradation import DegradationPlan
 from repro.resilience.router import FailoverClient
 
 
@@ -76,3 +77,25 @@ class PoolBackend:
             ],
             "resilience": dataclasses.asdict(self.resilience),
         }
+
+
+def degraded_pool(model: str, seed: int, plan: DegradationPlan) -> PoolBackend:
+    """A scripted-degraded primary backed by a healthy secondary.
+
+    The primary is ``SimulatedBackend(model, seed)`` behind ``plan``; the
+    secondary is an undegraded ``SimulatedBackend(model, seed + 1)``.  The
+    pool carries the default :class:`ResilienceConfig`; callers run the
+    executor with ``pool.resilience`` too.
+    """
+    # Imported here: llm.backend imports llm.faults, which imports this
+    # package.
+    from repro.llm.backend import DegradedBackend, SimulatedBackend
+
+    return PoolBackend(members=(
+        PoolMember(
+            "primary",
+            DegradedBackend(SimulatedBackend(model, seed), plan, name="primary"),
+            priority=0,
+        ),
+        PoolMember("secondary", SimulatedBackend(model, seed + 1), priority=1),
+    ))

@@ -10,9 +10,12 @@ quarantine, same token accounting, same virtual-clock makespan, same
 metrics snapshot, same span trace, same manifest.
 
 :func:`run_crash_trial` drives one (cell, site) experiment end to end:
-baseline run → crashed run → resumed run → canonical-payload diff.
+baseline run → crashed run → resumed run → canonical-payload diff.  A
+cell's ``backend`` is the client stack under the crash injector, so the
+same trial drills a healthy model and a degraded failover pool alike.
 :func:`run_crash_matrix` sweeps the default cell grid (all four tasks at
-concurrency 1 and 2) across every site — the CI chaos job — and writes a
+concurrency 1 and 2, plus brownout and blackout pools at concurrency 1
+and 2) across every site — the CI chaos job — and writes a
 ``CHAOS_DIFF.txt`` artifact plus the offending journal when a trial
 diverges.
 """
@@ -23,9 +26,13 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.obs.manifest import canonical_json
 from repro.runtime.checkpoint import JournalChaos, RunCheckpoint
+
+if TYPE_CHECKING:
+    from repro.llm.backend import Backend
 
 #: every point the chaos suite kills a run at
 CRASH_SITES: tuple[str, ...] = ("mid_batch", "pre_journal", "mid_journal")
@@ -36,7 +43,13 @@ CHAOS_DIFF_ENV = "REPRO_CHAOS_DIFF_PATH"
 
 @dataclass(frozen=True)
 class ChaosCell:
-    """One (task, config) point the crash matrix drills."""
+    """One (task, config, backend) point the crash matrix drills.
+
+    ``backend`` builds the client stack under the crash injector; the
+    default is ``SimulatedBackend(model, seed)``.  A
+    :class:`~repro.resilience.pool.PoolBackend` also hands the executor
+    its :class:`~repro.resilience.config.ResilienceConfig`.
+    """
 
     name: str
     dataset: str
@@ -46,6 +59,15 @@ class ChaosCell:
     batching: str = "random"
     concurrency: int = 1
     degradation: str = "off"
+    backend: Backend | None = None
+
+    def __post_init__(self) -> None:
+        if self.backend is None:
+            from repro.llm.backend import SimulatedBackend
+
+            object.__setattr__(
+                self, "backend", SimulatedBackend(self.model, self.seed)
+            )
 
     def config(self):
         from repro.core.config import PipelineConfig
@@ -61,14 +83,18 @@ class ChaosCell:
 
 
 def default_chaos_cells() -> tuple[ChaosCell, ...]:
-    """The CI matrix: all four tasks, sequential and concurrent."""
+    """The CI matrix, sequential and concurrent: all four tasks on a
+    healthy model, then Adult ED through a brownout and a blackout pool."""
+    from repro.resilience.degradation import blackout_plan, brownout_plan
+    from repro.resilience.pool import degraded_pool
+
     bases = (
         ("ed_adult", "adult", 24),
         ("di_restaurant", "restaurant", 18),
         ("sm_synthea", "synthea", 24),
         ("em_beer", "beer", 24),
     )
-    return tuple(
+    healthy = tuple(
         ChaosCell(
             f"{name}_c{concurrency}",
             dataset=dataset,
@@ -78,6 +104,23 @@ def default_chaos_cells() -> tuple[ChaosCell, ...]:
         for name, dataset, size in bases
         for concurrency in (1, 2)
     )
+    plans = (
+        ("brownout", brownout_plan(seed=0)),
+        ("blackout", blackout_plan(seed=0, start_s=5.0, duration_s=20.0)),
+    )
+    degraded = tuple(
+        ChaosCell(
+            f"ed_adult_{scenario}_c{concurrency}",
+            dataset="adult",
+            size=24,
+            concurrency=concurrency,
+            degradation="ladder",
+            backend=degraded_pool("gpt-3.5", 0, plan),
+        )
+        for scenario, plan in plans
+        for concurrency in (1, 2)
+    )
+    return healthy + degraded
 
 
 @dataclass(frozen=True)
@@ -148,11 +191,13 @@ def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTri
     """Crash one cell at ``site``, resume it, and compare bit for bit."""
     # Imported lazily so the runtime package stays importable without the
     # dataset/LLM/eval stack (mirrors repro.testing.golden).
+    from repro.core.executor import ExecutorConfig
     from repro.datasets import load_dataset
     from repro.errors import InjectedCrashError, LLMError
     from repro.eval.harness import evaluate_pipeline
-    from repro.llm.faults import Fault, FaultInjectingClient
-    from repro.llm.simulated import SimulatedLLM
+    from repro.llm.backend import FaultBackend
+    from repro.llm.faults import Fault
+    from repro.resilience.pool import PoolBackend
     from repro.runtime.journal import RunJournal
     from repro.testing.golden import diff_payloads
 
@@ -164,11 +209,13 @@ def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTri
     workdir.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(cell.dataset, size=cell.size, seed=cell.seed)
     config = cell.config()
+    executor_config = (
+        ExecutorConfig(resilience=cell.backend.resilience)
+        if isinstance(cell.backend, PoolBackend) else None
+    )
 
     def fresh_client(plan=None):
-        return FaultInjectingClient(
-            SimulatedLLM(cell.model, seed=cell.seed), plan=plan or {}
-        )
+        return FaultBackend(cell.backend, plan or {}).build()
 
     # 1. Baseline: the uninterrupted run every crash must reproduce.  It
     # journals too, which tells us how many batches the run has.
@@ -177,6 +224,7 @@ def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTri
     baseline = evaluate_pipeline(
         fresh_client(), config, dataset, keep_raw=True,
         checkpoint=RunCheckpoint(baseline_journal),
+        executor_config=executor_config,
     )
     __, baseline_records = RunJournal.load(baseline_journal)
     n_batches = len(baseline_records)
@@ -201,7 +249,7 @@ def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTri
     try:
         evaluate_pipeline(
             crash_client, config, dataset, keep_raw=True,
-            checkpoint=checkpoint,
+            checkpoint=checkpoint, executor_config=executor_config,
         )
     except InjectedCrashError:
         crashed = True
@@ -212,6 +260,7 @@ def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTri
     resumed = evaluate_pipeline(
         fresh_client(), config, dataset, keep_raw=True,
         checkpoint=RunCheckpoint(crash_journal),
+        executor_config=executor_config,
     )
     diffs = diff_payloads(result_payload(baseline), result_payload(resumed))
     rendered = [diff.render() for diff in diffs]

@@ -13,7 +13,6 @@ from repro.serving.loadgen import (
     TenantSpec,
     default_tenants,
     generate_trace,
-    run_serve_bench,
 )
 from repro.serving.request import (
     ANSWER_SOURCES,
@@ -55,5 +54,4 @@ __all__ = [
     "TenantSpec",
     "default_tenants",
     "generate_trace",
-    "run_serve_bench",
 ]

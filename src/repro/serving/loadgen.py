@@ -1,4 +1,4 @@
-"""Load generation and the serving benchmark harness.
+"""Load generation: seeded multi-tenant request traces.
 
 Traces are synthesized per tenant: Poisson arrivals (exponential
 inter-arrival times at a configured mean rate) over a finite instance
@@ -6,32 +6,16 @@ population with Pareto-skewed popularity — a few hot records dominate,
 the long tail trickles — which is what makes a prompt/answer cache earn
 its keep at scale.  Everything is seeded; the same ``(tenants, seed)``
 always produces the same trace, byte for byte.
-
-``run_serve_bench`` replays one trace twice — through the coalescing
-service and through an uncoalesced baseline (batch size 1, no cache) —
-and writes ``BENCH_serving.json`` with latency percentiles, throughput,
-coalesce rate, cache hit rate, and the token-reduction ratio between the
-two (the paper's Table 3 amortization, measured online).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from random import Random
 
-from repro.core.config import PipelineConfig
 from repro.data.instances import PreprocessingDataset
 from repro.errors import ServingError
 from repro.serving.request import ServeRequest
-from repro.serving.service import (
-    PreprocessingService,
-    ServeConfig,
-    ServeReport,
-)
-from repro.serving.tenants import TenantBudget
 
 
 @dataclass(frozen=True)
@@ -124,111 +108,3 @@ def default_tenants(
         for index in range(n_tenants)
     ]
 
-
-def run_serve_bench(
-    out_path: str | Path = "BENCH_serving.json",
-    n_requests: int = 200_000,
-    dataset_name: str = "adult",
-    dataset_size: int = 200,
-    n_tenants: int = 3,
-    seed: int = 0,
-    concurrency: int = 4,
-    max_batch: int = 8,
-    max_wait_s: float = 2.0,
-    coalesce: str = "window",
-    model: str = "gpt-3.5",
-    baseline_requests: int | None = 2000,
-) -> dict:
-    """Replay a synthetic trace coalesced and uncoalesced; write the report.
-
-    The uncoalesced baseline serves batch size 1, eager flushing, answer
-    cache disabled — one prompt per request, the pre-serving cost model.
-    Because that baseline pays a completion call *per request*, it
-    replays only the first ``baseline_requests`` arrivals of the trace
-    (``None`` = all of them) and the ``token_reduction`` ratio compares
-    *per-served-request* token cost, which is exact for the baseline (its
-    marginal cost is constant — no cache, no batching) and conservative
-    for the coalesced run.
-    """
-    from repro.datasets import load_dataset
-    from repro.llm.simulated import SimulatedLLM
-
-    dataset = load_dataset(dataset_name, size=dataset_size, seed=seed)
-    tenants = default_tenants(n_tenants, n_requests)
-    trace = generate_trace(dataset, tenants, seed=seed)
-    budgets = [
-        TenantBudget(
-            name=spec.name,
-            requests_per_minute=max(60, int(spec.rate_rps * 60 * 2)),
-            tokens_per_minute=max(60_000, int(spec.rate_rps * 60 * 2) * 300),
-        )
-        for spec in tenants
-    ]
-    pipeline_config = PipelineConfig(
-        model=model, seed=seed, concurrency=concurrency
-    )
-
-    def _serve(
-        serve_config: ServeConfig, requests: list[ServeRequest]
-    ) -> ServeReport:
-        service = PreprocessingService(
-            SimulatedLLM(model, seed=seed),
-            dataset,
-            budgets,
-            serve_config=serve_config,
-            pipeline_config=pipeline_config,
-        )
-        return service.serve(requests)
-
-    coalesced = _serve(ServeConfig(
-        max_batch=max_batch,
-        max_wait_s=max_wait_s,
-        coalesce=coalesce,
-    ), trace)
-    baseline_trace = (
-        trace if baseline_requests is None else trace[:baseline_requests]
-    )
-    uncoalesced = _serve(ServeConfig(
-        max_batch=1,
-        max_wait_s=0.0,
-        coalesce="eager",
-        cache_entries=0,
-    ), baseline_trace)
-
-    def _tokens_per_request(report: ServeReport) -> float:
-        if report.n_served == 0:
-            return 0.0
-        return report.usage.total_tokens / report.n_served
-
-    coalesced_cost = max(_tokens_per_request(coalesced), 1e-9)
-    payload = {
-        "bench": "serving",
-        "config": {
-            "n_requests": n_requests,
-            "dataset": dataset_name,
-            "dataset_size": dataset_size,
-            "n_tenants": n_tenants,
-            "seed": seed,
-            "concurrency": concurrency,
-            "max_batch": max_batch,
-            "max_wait_s": max_wait_s,
-            "coalesce": coalesce,
-            "model": model,
-            "baseline_requests": len(baseline_trace),
-            "tenants": [dataclasses.asdict(spec) for spec in tenants],
-        },
-        "coalesced": coalesced.summary(),
-        "uncoalesced": uncoalesced.summary(),
-        "token_reduction": _tokens_per_request(uncoalesced) / coalesced_cost,
-    }
-    # The headline numbers, flattened for dashboards that read one level.
-    for name in (
-        "p50_latency_s", "p99_latency_s", "throughput_rps",
-        "coalesce_rate", "cache_hit_rate",
-    ):
-        payload[name] = payload["coalesced"][name]
-    Path(out_path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return payload

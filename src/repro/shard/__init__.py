@@ -5,7 +5,7 @@ The scale-out layer: partition a dataset into content-addressed shards
 worker process (:mod:`repro.shard.runner`), and fold the per-shard
 payloads with an order-independent merge (:mod:`repro.shard.merge`) whose
 output is bit-identical at any worker count.  :mod:`repro.shard.chaos`
-drills worker kills; :mod:`repro.shard.bench` measures the scaling curve.
+drills worker kills.
 """
 
 from repro.shard.chaos import ShardChaosTrial, run_shard_crash_trial
@@ -37,11 +37,6 @@ from repro.shard.runner import (
     shard_dataset,
     shard_payload,
 )
-from repro.shard.bench import (
-    decode_microbench,
-    run_shard_bench,
-    shard_scaling_bench,
-)
 
 __all__ = [
     "SHARD_CRASH_SITES",
@@ -55,7 +50,6 @@ __all__ = [
     "combine",
     "config_fingerprint",
     "dataset_digest",
-    "decode_microbench",
     "default_shard_count",
     "delta_of",
     "empty_delta",
@@ -63,12 +57,10 @@ __all__ = [
     "merge_shards",
     "plan_shards",
     "run_shard",
-    "run_shard_bench",
     "run_shard_crash_trial",
     "run_sharded",
     "shard_dataset",
     "shard_of",
     "shard_payload",
-    "shard_scaling_bench",
     "stream_plan_shards",
 ]

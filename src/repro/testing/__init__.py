@@ -14,8 +14,9 @@ behavior?".  Three layers, each cheaper than the last:
   (``python -m repro.eval fuzz``) checking the parser's crash-freedom
   and shape invariants.
 
-:mod:`repro.testing.reference` holds the memo-free reference decoder the
-simulated model's production decode path is checked against.
+:mod:`repro.testing.reference` holds the oracles the fast paths are
+checked against: the memo-free reference decoder (with its decode
+microbench) and the row-by-row embedding reference.
 """
 
 from repro.testing.fuzz import (

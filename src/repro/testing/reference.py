@@ -1,4 +1,6 @@
-"""The reference decoder: the simulated model with nothing remembered.
+"""Reference oracles: the slow, obviously correct paths tests compare against.
+
+The reference decoder is the simulated model with nothing remembered.
 
 :class:`~repro.llm.simulated.SimulatedLLM` decodes on one path that skips
 repeated work: a bounded memo replays the parse of shared system and
@@ -23,14 +25,26 @@ decoder: both clients use them, and :func:`reset_caches` empties their
 process-wide caches so that a timing comparison starts both sides cold.
 
 Replies, usage and latency must match the production client exactly
-(``tests/llm/test_batch_decode.py``); the decode microbench
-(:func:`repro.shard.bench.decode_microbench`) times the two side by side.
+(``tests/llm/test_batch_decode.py``); :func:`decode_microbench` times the
+two side by side over :func:`build_decode_requests`.
+
+:func:`embed_all_reference` is the row-by-row oracle for
+:meth:`~repro.text.embeddings.HashingEmbedder.embed_all`: it embeds one
+text at a time through :meth:`~repro.text.embeddings.HashingEmbedder.embed`.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
+from typing import Iterable
 
+import numpy as np
+
+from repro.core.config import PipelineConfig
+from repro.core.prompts import PromptBuilder
+from repro.core.tasks import target_attribute_of
+from repro.datasets import load_dataset
 from repro.errors import ContextWindowExceededError, LLMError
 from repro.llm import accounting, promptparse
 from repro.llm.base import CompletionRequest, CompletionResponse, Usage
@@ -39,6 +53,7 @@ from repro.llm.promptparse import ParsedExample, ParsedPrompt, ParsedQuestion
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.solvers import ed
 from repro.text import similarity
+from repro.text.embeddings import HashingEmbedder
 from repro.text.tokenize import count_message_tokens, count_tokens
 
 
@@ -132,3 +147,86 @@ def reset_caches() -> None:
     promptparse._prefix_tokens.cache_clear()
     ed._nearest_distance.cache_clear()
     similarity._jaro.cache_clear()
+
+
+def build_decode_requests(
+    n: int = 1000,
+    dataset: str = "adult",
+    model: str = "gpt-3.5",
+    seed: int = 0,
+) -> list[CompletionRequest]:
+    """``n`` realistic single-instance completion requests.
+
+    Realistic means what the pipeline actually sends: a shared system
+    instruction and few-shot demonstration block (the bulk of the prompt)
+    followed by one instance-specific question.  That shape is exactly
+    where the client's memo wins — the shared prefix parses once.
+    """
+    config = PipelineConfig(model=model, seed=seed)
+    data = load_dataset(dataset, size=n, seed=seed)
+    fewshot = data.sample_fewshot(config.fewshot_for(data.task), seed=seed)
+    builders: dict = {}
+    requests = []
+    instances = data.instances
+    for index in range(n):
+        instance = instances[index % len(instances)]
+        target = target_attribute_of(instance)
+        builder = builders.get(target)
+        if builder is None:
+            builder = PromptBuilder(
+                data.task, config, target_attribute=target
+            )
+            builders[target] = builder
+        prompt = builder.build([instance], fewshot_examples=fewshot)
+        requests.append(CompletionRequest(
+            messages=prompt.messages, model=model, temperature=0.75
+        ))
+    return requests
+
+
+def decode_microbench(
+    n: int = 1000,
+    dataset: str = "adult",
+    model: str = "gpt-3.5",
+    seed: int = 0,
+) -> dict:
+    """Reference vs production decode over the same ``n``-request batch.
+
+    ``identical`` holds when every response (text, usage and latency)
+    matches.  Each arm starts with the process-wide caches empty.
+    """
+    requests = build_decode_requests(n, dataset=dataset, model=model, seed=seed)
+
+    reset_caches()
+    reference = ReferenceLLM(model, seed=seed)
+    started = time.perf_counter()
+    reference_replies = reference.complete_batch(requests)
+    reference_s = time.perf_counter() - started
+
+    reset_caches()
+    client = SimulatedLLM(model, seed=seed)
+    started = time.perf_counter()
+    replies = client.complete_batch(requests)
+    client_s = time.perf_counter() - started
+
+    memo = client.memo
+    return {
+        "n": n,
+        "dataset": dataset,
+        "model": model,
+        "reference_s": reference_s,
+        "client_s": client_s,
+        "speedup": reference_s / client_s if client_s > 0 else 0.0,
+        "identical": replies == reference_replies,
+        "memo": {"hits": memo.hits, "misses": memo.misses, "entries": len(memo)},
+    }
+
+
+def embed_all_reference(
+    embedder: HashingEmbedder, texts: Iterable[str]
+) -> np.ndarray:
+    """Embed row by row through ``embedder.embed``; ``embed_all``'s oracle."""
+    rows = [embedder.embed(text) for text in texts]
+    if not rows:
+        return np.zeros((0, embedder.dim), dtype=np.float64)
+    return np.vstack(rows)

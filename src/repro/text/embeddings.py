@@ -8,10 +8,10 @@ property cluster batching needs (homogeneous batches of similar instances).
 
 Two embedding kernels produce bit-identical vectors:
 
-- the **scalar** reference path (:meth:`HashingEmbedder.embed`,
-  :meth:`HashingEmbedder.embed_all_scalar`) hashes one term at a time in a
-  Python loop — simple, obviously correct, and what the property tests
-  anchor on;
+- the **scalar** reference path (:meth:`HashingEmbedder.embed`, and
+  :func:`repro.testing.reference.embed_all_reference` row by row over it)
+  hashes one term at a time in a Python loop — simple, obviously correct,
+  and what the property tests anchor on;
 - the **vectorized** path (:meth:`HashingEmbedder.embed_all`) extracts all
   terms up front, resolves term hashes through a process-level memo (one
   ``blake2b`` per *unique* term per process, ever), and scatter-adds the
@@ -214,13 +214,6 @@ class HashingEmbedder:
             vector /= norm
         return vector
 
-    def embed_all_scalar(self, texts: Iterable[str]) -> np.ndarray:
-        """The pre-kernel reference: embed row by row via :meth:`embed`."""
-        rows = [self.embed(t) for t in texts]
-        if not rows:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.vstack(rows)
-
     def embed_all(self, texts: Iterable[str]) -> np.ndarray:
         """Embed many texts into a ``(n, dim)`` matrix — vectorized.
 
@@ -229,9 +222,9 @@ class HashingEmbedder:
         one shared byte buffer and resolved per *unique* gram, so only new
         vocabulary ever reaches ``blake2b``.  Everything lands in the
         matrix via ``np.add.at`` scatter-adds and rows are normalized in
-        one shot.  Output is bit-identical to :meth:`embed_all_scalar`
-        (property-tested): accumulated values are sums of ``±1.0``, which
-        float64 represents exactly in any order.
+        one shot.  Output is bit-identical to embedding row by row with
+        :meth:`embed` (property-tested): accumulated values are sums of
+        ``±1.0``, which float64 represents exactly in any order.
         """
         texts = list(texts)
         n_texts = len(texts)

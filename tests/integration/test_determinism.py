@@ -12,6 +12,7 @@ import pytest
 from repro import PipelineConfig, Preprocessor, SimulatedLLM
 from repro.core.batching import make_batches
 from repro.llm.cache import CachingClient
+from repro.testing.reference import embed_all_reference
 from repro.text.embeddings import HashingEmbedder
 
 CONCURRENCIES = (1, 2, 8)
@@ -140,9 +141,7 @@ class TestVectorizedPrepMatchesScalarPath:
     ):
         dataset = request.getfixturevalue(fixture_name)
         vectorized = _run_cluster(dataset, concurrency)
-        monkeypatch.setattr(
-            HashingEmbedder, "embed_all", HashingEmbedder.embed_all_scalar
-        )
+        monkeypatch.setattr(HashingEmbedder, "embed_all", embed_all_reference)
         scalar = _run_cluster(dataset, concurrency)
         assert scalar.predictions == vectorized.predictions
         assert scalar.usage == vectorized.usage
@@ -154,9 +153,7 @@ class TestVectorizedPrepMatchesScalarPath:
         dataset = request.getfixturevalue(fixture_name)
         instances = list(dataset.instances)
         vectorized = make_batches(instances, 7, mode="cluster", seed=0)
-        monkeypatch.setattr(
-            HashingEmbedder, "embed_all", HashingEmbedder.embed_all_scalar
-        )
+        monkeypatch.setattr(HashingEmbedder, "embed_all", embed_all_reference)
         scalar = make_batches(instances, 7, mode="cluster", seed=0)
         assert scalar == vectorized
 

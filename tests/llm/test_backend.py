@@ -18,7 +18,7 @@ from repro.llm.faults import Fault
 
 
 def _request():
-    from repro.shard.bench import build_decode_requests
+    from repro.testing.reference import build_decode_requests
 
     return build_decode_requests(1)[0]
 

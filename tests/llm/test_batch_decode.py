@@ -19,8 +19,11 @@ from repro.llm.accounting import _shared_block_tokens
 from repro.llm.base import ChatMessage, CompletionRequest
 from repro.llm.promptparse import MEMO_MAX_ENTRIES, PromptParseMemo
 from repro.llm.simulated import SimulatedLLM
-from repro.shard.bench import build_decode_requests, decode_microbench
-from repro.testing.reference import ReferenceLLM
+from repro.testing.reference import (
+    ReferenceLLM,
+    build_decode_requests,
+    decode_microbench,
+)
 
 #: (dataset, few-shot examples when on): ED, DI, SM and EM
 _TASKS = (("adult", 10), ("restaurant", 10), ("synthea", 3), ("beer", 10))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.kmeans import KMeans
+from repro.testing.reference import embed_all_reference
 from repro.text.embeddings import HashingEmbedder
 
 #: record-ish texts plus adversarial unicode; blank/empty included
@@ -41,7 +42,7 @@ class TestVectorizedEmbeddingEquality:
     def test_embed_all_matches_scalar_bitwise(self, corpus, params):
         dim, ngram = params
         embedder = HashingEmbedder(dim=dim, ngram=ngram)
-        scalar = embedder.embed_all_scalar(corpus)
+        scalar = embed_all_reference(embedder, corpus)
         vectorized = embedder.embed_all(corpus)
         assert scalar.shape == vectorized.shape == (len(corpus), dim)
         assert (scalar == vectorized).all()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.testing.reference import embed_all_reference
 from repro.text.embeddings import (
     HashingEmbedder,
     average_pairwise_similarity,
@@ -62,7 +63,7 @@ class TestVectorizedKernel:
     @pytest.mark.parametrize("ngram", [0, 1, 2, 3, 4, 5, 9])
     def test_bit_identical_to_scalar(self, ngram):
         embedder = HashingEmbedder(dim=96, ngram=ngram)
-        scalar = embedder.embed_all_scalar(self.CORPUS)
+        scalar = embed_all_reference(embedder, self.CORPUS)
         vectorized = embedder.embed_all(self.CORPUS)
         assert (scalar == vectorized).all()
 
@@ -82,8 +83,8 @@ class TestVectorizedKernel:
         corpus = ["delta epsilon zeta"]
         small = HashingEmbedder(dim=16).embed_all(corpus)
         large = HashingEmbedder(dim=512).embed_all(corpus)
-        assert (small == HashingEmbedder(dim=16).embed_all_scalar(corpus)).all()
-        assert (large == HashingEmbedder(dim=512).embed_all_scalar(corpus)).all()
+        assert (small == embed_all_reference(HashingEmbedder(dim=16), corpus)).all()
+        assert (large == embed_all_reference(HashingEmbedder(dim=512), corpus)).all()
 
 
 class TestNeighbors:
