@@ -4,9 +4,10 @@ A long preprocessing run issues hundreds of completion calls; this package
 makes such runs *restartable*:
 
 - :mod:`repro.runtime.journal` — a write-ahead journal of completed
-  batches: one fsync'd canonical-JSON record per batch, sealed to the
-  run's configuration fingerprint, with per-record checksums so any
-  corruption is detected and everything before it remains recoverable;
+  batches: one fsync'd JSON line per batch, sealed to the run's
+  configuration fingerprint, each line sealed by a digest of its exact
+  bytes so any corruption is detected and everything before it remains
+  recoverable;
 - :mod:`repro.runtime.checkpoint` — the checkpoint session the pipeline
   threads through a run: opens/resumes a journal, verifies fingerprints,
   captures and restores the full mutable state (executor lanes, RNG,

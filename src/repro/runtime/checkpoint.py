@@ -94,7 +94,11 @@ def restore_client_state(client: object, state: dict | None) -> None:
 
 
 class CheckpointSession:
-    """One run's open journal plus the replayable prefix it started from."""
+    """One run's open journal plus the replayable prefix it started from.
+
+    ``records`` is that prefix and nothing more: a batch journaled during
+    this run is on disk, so the session does not hold it in memory too.
+    """
 
     def __init__(
         self,
@@ -234,7 +238,6 @@ class CheckpointSession:
         if self._chaos is not None and self._chaos.at_seq == seq:
             crash = self._chaos.site
         self._journal.append(record, crash=crash)
-        self.records.append(record)
         return record
 
     def close(self) -> None:

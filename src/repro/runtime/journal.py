@@ -13,10 +13,21 @@ Format — a plain-text file of newline-terminated JSON lines:
   *state blob* (executor, client, stats, observability) that lets resume
   restore the run mid-flight.
 
-Every line carries a ``check`` field — a digest of the rest of the line —
-and records carry a strictly increasing ``seq``.  Appends are atomic at
-the line level and fsync'd, so after a crash the file is a valid prefix
-plus at most one torn tail line.
+Each line is its payload encoded once (sorted keys, compact separators,
+ASCII only) and sealed: it opens with a ``check`` field, the first 16 hex
+digits of the sha256 of exactly those payload bytes, so the seal sits at a
+fixed position (``{"check":"<16 hex>",`` and then the payload after its
+opening brace) and the line is still one JSON object.  Reading checks the
+seal against the raw bytes of the line and re-encodes nothing, so any
+changed byte fails it, even one that parses back to the same value
+(``\\u00e9`` rewritten as ``\\u00E9``).  Records carry a strictly
+increasing ``seq``.  Appends are atomic at the line level and fsync'd, so
+after a crash the file is a valid prefix plus at most one torn tail line.
+
+The header's ``journal_version`` is read before its seal, so a journal
+written in another format version is refused as such (``unsupported
+journal version 1 (this build reads 2)``) rather than reported as
+corrupted; no older version is readable.
 
 Corruption handling is *typed and recoverable*: a truncated tail, a
 flipped byte, a duplicated record, or an out-of-order record each raise
@@ -39,9 +50,14 @@ from pathlib import Path
 from repro.errors import ReproError
 from repro.obs.manifest import canonical_json
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
-_CHECK_FIELD = "check"
+#: a sealed line opens with ``{"check":"<16 hex>",``; the payload bytes the
+#: seal covers are ``{`` plus everything after that prefix
+_SEAL_OPEN = b'{"check":"'
+_SEAL_HEX = 16
+_SEAL_END = len(_SEAL_OPEN) + _SEAL_HEX
+_BODY_START = _SEAL_END + len(b'",')
 
 
 class JournalError(ReproError):
@@ -100,20 +116,26 @@ class ResumeMismatchError(JournalError):
         )
 
 
-def _line_check(payload: dict) -> str:
-    """Digest of one journal line's payload (sans the check field)."""
-    body = {key: value for key, value in payload.items() if key != _CHECK_FIELD}
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()[:16]
+def _seal(body: bytes) -> bytes:
+    return hashlib.sha256(body).hexdigest()[:_SEAL_HEX].encode("ascii")
 
 
 def _dump_line(payload: dict) -> bytes:
     """One sealed, newline-terminated journal line."""
-    sealed = dict(payload)
-    sealed[_CHECK_FIELD] = _line_check(payload)
+    body = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+    ).encode("ascii")
+    return _SEAL_OPEN + _seal(body) + b'",' + body[1:] + b"\n"
+
+
+def _seal_holds(line: bytes) -> bool:
+    """Whether ``line`` (sans newline) carries the seal of its own bytes."""
     return (
-        json.dumps(sealed, sort_keys=True, separators=(",", ":"),
-                   ensure_ascii=True) + "\n"
-    ).encode("utf-8")
+        line.startswith(_SEAL_OPEN)
+        and line[_SEAL_END:_BODY_START] == b'",'
+        and line[len(_SEAL_OPEN):_SEAL_END]
+        == _seal(b"{" + line[_BODY_START:])
+    )
 
 
 def run_fingerprint(context: dict) -> str:
@@ -328,18 +350,22 @@ class RunJournal:
                 raise damaged("record is not valid JSON") from None
             if not isinstance(payload, dict):
                 raise damaged("record is not a JSON object")
-            if payload.get(_CHECK_FIELD) != _line_check(payload):
-                raise damaged("record checksum mismatch (corrupted bytes)")
             kind = payload.get("kind")
             if header is None:
                 if kind != "header":
                     raise damaged("first line is not a journal header")
+                # Checked before the seal, which another format version
+                # computes differently: an old journal is refused as old,
+                # not reported as corrupted.
                 if payload.get("journal_version") != JOURNAL_VERSION:
                     raise damaged(
                         f"unsupported journal version "
                         f"{payload.get('journal_version')!r} "
                         f"(this build reads {JOURNAL_VERSION})"
                     )
+            if not _seal_holds(raw_line):
+                raise damaged("record checksum mismatch (corrupted bytes)")
+            if header is None:
                 header = JournalHeader.from_payload(payload)
             else:
                 if kind != "batch":

@@ -20,9 +20,10 @@ It never reads a request's carried counts
 (:attr:`~repro.llm.base.CompletionRequest.prompt_tokens`,
 :attr:`~repro.llm.base.ChatMessage.line_tokens`), so running it beside the
 production client shares no decode state.  The model's kernels (knowledge
-domains, edit distances, Jaro similarity) belong to the model, not the
-decoder: both clients use them, and :func:`reset_caches` empties their
-process-wide caches so that a timing comparison starts both sides cold.
+domains, edit distances, Jaro-Winkler similarity) belong to the model,
+not the decoder: both clients use them, and :func:`reset_caches` empties
+their process-wide caches so that a timing comparison starts both sides
+cold.
 
 Replies, usage and latency must match the production client exactly
 (``tests/llm/test_batch_decode.py``); :func:`decode_microbench` times the
@@ -146,7 +147,7 @@ def reset_caches() -> None:
     accounting._shared_block_tokens.cache_clear()
     promptparse._prefix_tokens.cache_clear()
     ed._nearest_distance.cache_clear()
-    similarity._jaro.cache_clear()
+    similarity.jaro_winkler.cache_clear()
 
 
 def build_decode_requests(

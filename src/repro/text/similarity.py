@@ -52,11 +52,7 @@ def levenshtein_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / denom
 
 
-@lru_cache(maxsize=16384)
 def _jaro(a: str, b: str) -> float:
-    # Cached (bounded, least recently used evicted first): entity matching
-    # compares the same token pairs over and over, and the result is a
-    # pure function of the two strings.
     if a == b:
         return 1.0
     la, lb = len(a), len(b)
@@ -93,11 +89,15 @@ def _jaro(a: str, b: str) -> float:
     ) / 3.0
 
 
+@lru_cache(maxsize=16384)
 def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
     """Jaro-Winkler similarity: Jaro with a bonus for a shared prefix.
 
     ``prefix_scale`` is capped at 0.25 so the result stays within [0, 1].
     """
+    # Cached (bounded, least recently used evicted first): entity matching
+    # compares the same token pairs over and over, and the result is a
+    # pure function of the arguments.
     if prefix_scale > 0.25:
         raise ValueError("prefix_scale must be <= 0.25 to keep results in [0,1]")
     jaro = _jaro(a, b)

@@ -74,6 +74,49 @@ class TestCliRoundTrip:
             main(["trace", str(tmp_path / "absent.json")])
 
 
+class TestRunJournalCli:
+    """`run --journal` then `run --resume`: the single-process journal path."""
+
+    def test_resume_reproduces_the_journaled_run(self, tmp_path, capsys):
+        journal = str(tmp_path / "run.journal")
+        first_manifest = tmp_path / "m1.json"
+        second_manifest = tmp_path / "m2.json"
+        assert main([
+            "run", "--dataset", "beer", "--journal", journal,
+            "--manifest", str(first_manifest),
+        ]) == 0
+        first = capsys.readouterr().out
+        assert f"journal at {journal}" in first
+        assert main([
+            "run", "--dataset", "beer", "--resume", journal,
+            "--manifest", str(second_manifest),
+        ]) == 0
+        resumed = capsys.readouterr().out
+        assert resumed.splitlines()[0] == first.splitlines()[0]
+        assert second_manifest.read_bytes() == first_manifest.read_bytes()
+
+    def test_resume_of_a_missing_journal_exits_2(self, tmp_path, capsys):
+        absent = tmp_path / "absent.journal"
+        assert main([
+            "run", "--dataset", "beer", "--resume", str(absent),
+        ]) == 2
+        assert f"no journal to resume at {absent}" in capsys.readouterr().err
+
+    def test_resume_of_a_version_1_journal_exits_2(self, tmp_path, capsys):
+        journal = tmp_path / "v1.journal"
+        # a header line exactly as journal format version 1 wrote it
+        journal.write_bytes(
+            b'{"check":"d323bfa8c2f8efc4","context":{},"fingerprint":'
+            b'"ca3d163bab055381827226140568f3be","journal_version":1,'
+            b'"kind":"header"}\n'
+        )
+        assert main([
+            "run", "--dataset", "beer", "--resume", str(journal),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported journal version 1 (this build reads 2)" in err
+
+
 class TestGoldenCli:
     def test_golden_verify_single_cell_is_clean(self, capsys):
         assert main(["golden", "--cell", "di_restaurant_gpt4"]) == 0

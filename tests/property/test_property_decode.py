@@ -51,12 +51,13 @@ messages = st.lists(
 class TestCachedKernels:
     @given(words, words)
     def test_jaro_equals_the_uncached_computation(self, a, b):
-        assert _jaro(a, b) == _jaro.__wrapped__(a, b)
-        assert _jaro(a, b) == _jaro.__wrapped__(a, b)  # warm
+        expected = jaro_winkler.__wrapped__(a, b)
+        assert jaro_winkler(a, b) == expected
+        assert jaro_winkler(a, b) == expected  # warm
 
     @given(words, words)
     def test_jaro_winkler_equals_the_uncached_computation(self, a, b):
-        jaro = _jaro.__wrapped__(a, b)
+        jaro = _jaro(a, b)
         prefix = len(os.path.commonprefix([a[:4], b[:4]]))
         assert jaro_winkler(a, b) == jaro + prefix * 0.1 * (1.0 - jaro)
 

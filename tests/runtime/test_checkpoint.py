@@ -6,6 +6,8 @@ spans, manifest — bit-identical to an uninterrupted run; and journaling
 itself never changes a run's behavior.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -13,6 +15,7 @@ from repro.core.pipeline import Preprocessor
 from repro.datasets import load_dataset
 from repro.errors import InjectedCrashError
 from repro.eval.harness import evaluate_pipeline
+from repro.llm.base import Usage
 from repro.llm.faults import Fault, FaultInjectingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.runtime.chaos import result_payload
@@ -36,6 +39,24 @@ def _client(seed=0):
     return SimulatedLLM("gpt-3.5", seed=seed)
 
 
+def _append_batch(session, seq):
+    """Journal one batch through ``session`` from minimal run state."""
+    stats = SimpleNamespace(
+        usage=Usage(prompt_tokens=10 * seq, completion_tokens=seq),
+        n_requests=seq, n_retries=0, n_fallbacks=0,
+        keep_raw=False, exchanges=[],
+    )
+    executor = SimpleNamespace(
+        clock=SimpleNamespace(makespan=float(seq)),
+        checkpoint_state=lambda: {},
+    )
+    return session.append_batch(
+        seq=seq, key=f"batch-{seq}", predictions=[True], quarantine=[],
+        watermark=session.mark(stats, None), stats=stats,
+        executor=executor, client=object(), obs=None,
+    )
+
+
 class TestSessionLifecycle:
     def test_fresh_journal_gets_sealed_header(self, tmp_path):
         path = tmp_path / "run.journal"
@@ -53,6 +74,32 @@ class TestSessionLifecycle:
         session = CheckpointSession.open(RunCheckpoint(path), {"k": 1})
         assert session.records == []
         session.close()
+
+    def test_fresh_session_keeps_no_record_it_appends(self, tmp_path):
+        path = tmp_path / "run.journal"
+        session = CheckpointSession.open(RunCheckpoint(path), {"k": 1})
+        for seq in range(5):
+            _append_batch(session, seq)
+        assert session.records == []
+        session.close()
+        __, records = RunJournal.load(path)
+        assert [r.seq for r in records] == [0, 1, 2, 3, 4]
+
+    def test_resumed_session_keeps_only_the_replayed_prefix(self, tmp_path):
+        path = tmp_path / "run.journal"
+        session = CheckpointSession.open(RunCheckpoint(path), {"k": 1})
+        for seq in range(3):
+            _append_batch(session, seq)
+        session.close()
+        resumed = CheckpointSession.open(RunCheckpoint(path), {"k": 1})
+        prefix = list(resumed.records)
+        for seq in range(3, 6):
+            _append_batch(resumed, seq)
+        assert [r.seq for r in resumed.records] == [0, 1, 2]
+        assert resumed.records == prefix
+        resumed.close()
+        __, records = RunJournal.load(path)
+        assert [r.seq for r in records] == [0, 1, 2, 3, 4, 5]
 
     def test_mismatched_context_refused_with_diff(self, tmp_path):
         path = tmp_path / "run.journal"

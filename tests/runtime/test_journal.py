@@ -8,8 +8,12 @@ prefix.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.runtime.journal import (
@@ -20,6 +24,15 @@ from repro.runtime.journal import (
     RunJournal,
     context_diff,
     run_fingerprint,
+)
+
+
+#: a header line exactly as journal format version 1 wrote it
+V1_HEADER_LINE = (
+    b'{"check":"20784690b7ea0fe3","context":{"dataset":{"digest":"abc123",'
+    b'"name":"adult"},"pipeline_config":{"model":"gpt-3.5","seed":0}},'
+    b'"fingerprint":"7e23ca19441c42b93a810078d36c17ab","journal_version":1,'
+    b'"kind":"header"}\n'
 )
 
 
@@ -171,6 +184,18 @@ class TestCorruption:
         assert "version" in str(excinfo.value)
         assert excinfo.value.records == []
 
+    def test_version_1_journal_is_refused_as_old_not_corrupt(self, tmp_path):
+        path = tmp_path / "v1.journal"
+        path.write_bytes(V1_HEADER_LINE)
+        for read in (RunJournal.load, RunJournal.recover):
+            with pytest.raises(JournalError) as excinfo:
+                read(path)
+            message = str(excinfo.value)
+            assert "unsupported journal version 1 (this build reads 2)" in message
+            assert "checksum" not in message
+            assert excinfo.value.line_no == 1
+            assert excinfo.value.header is None
+
     def test_missing_and_empty_files_are_typed(self, tmp_path):
         with pytest.raises(JournalError):
             RunJournal.load(tmp_path / "absent.journal")
@@ -219,3 +244,81 @@ class TestRecover:
         journal.close()
         __, clean = RunJournal.load(path)
         assert [r.seq for r in clean] == [0, 1, 2]
+
+
+#: JSON values a journal payload may carry: non-ASCII text and keys, ints
+#: past 64 bits, floats, None/bool, and nested lists and objects
+_keys = st.text(max_size=6)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_keys, inner, max_size=3),
+    max_leaves=8,
+)
+_batches = st.lists(
+    st.tuples(
+        st.lists(_values, max_size=3),
+        st.dictionaries(_keys, _values, max_size=3),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _journal_of(path, batches):
+    # Every journal carries an escaped non-ASCII character: the case of its
+    # hex digits can change without changing the parsed value.
+    context = {"run": "property", "name": "caf\u00e9"}
+    journal = RunJournal(path)
+    journal.create(JournalHeader(
+        fingerprint=run_fingerprint(context), context=context,
+    ))
+    records = []
+    for seq, (predictions, state) in enumerate(batches):
+        record = BatchRecord(
+            seq=seq, key=f"key-{seq}", predictions=predictions, state=state,
+        )
+        journal.append(record)
+        records.append(record)
+    journal.close()
+    return records
+
+
+class TestSealProperties:
+    """The seal covers a line's exact bytes."""
+
+    @given(_batches)
+    @settings(max_examples=60, deadline=None)
+    def test_append_then_load_round_trips_every_record(self, batches):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "run.journal"
+            records = _journal_of(path, batches)
+            __, loaded = RunJournal.load(path)
+        assert loaded == records
+
+    @given(_batches)
+    @settings(max_examples=10, deadline=None)
+    def test_every_single_byte_flip_is_caught(self, batches):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "run.journal"
+            records = _journal_of(path, batches)
+            blob = path.read_bytes()
+            for position in range(len(blob)):
+                # the 0-based line this byte belongs to (its newline included)
+                line = blob.count(b"\n", 0, position)
+                for mask in (0x01, 0x20):
+                    damaged = bytearray(blob)
+                    damaged[position] ^= mask
+                    path.write_bytes(bytes(damaged))
+                    with pytest.raises(JournalError) as excinfo:
+                        RunJournal.load(path)
+                    assert excinfo.value.line_no == line + 1
+                    assert excinfo.value.records == records[:max(line - 1, 0)]
