@@ -7,7 +7,7 @@ switched independently; Table 1's "best setting" is the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.feature_selection import FeatureSelection
 from repro.data.instances import Task
@@ -134,26 +134,6 @@ class PipelineConfig:
         if self.batch_size is not None:
             return self.batch_size
         return DEFAULT_BATCH_SIZE.get(self.model, 1)
-
-    def with_components(
-        self,
-        fewshot: bool | None = None,
-        batching: bool | None = None,
-        reasoning: bool | None = None,
-    ) -> "PipelineConfig":
-        """Ablation helper: switch whole components on/off (Table 2).
-
-        ``fewshot=False`` sets 0 examples; ``batching=False`` forces batch
-        size 1; passing ``None`` leaves a component unchanged.
-        """
-        updates: dict = {}
-        if fewshot is not None:
-            updates["fewshot"] = None if fewshot else 0
-        if batching is not None:
-            updates["batch_size"] = None if batching else 1
-        if reasoning is not None:
-            updates["reasoning"] = reasoning
-        return replace(self, **updates)
 
 
 #: Table 2's six ablation rows, in paper order.

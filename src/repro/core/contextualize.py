@@ -13,7 +13,9 @@ same text a real LLM would receive (it gets no side channel).
 
 from __future__ import annotations
 
+import hashlib
 import re
+from typing import Iterable
 
 from repro.data.instances import (
     DIInstance,
@@ -60,6 +62,26 @@ def serialize_instance(instance: Instance) -> str:
         right = serialize_attribute(instance.pair.right)
         return f"Attribute A is {left}. Attribute B is {right}"
     raise PromptError(f"cannot serialize instance type {type(instance).__name__}")
+
+
+def instances_digest(
+    instances: Iterable[Instance], fewshot: Iterable[Instance]
+) -> str:
+    """Content digest over serialized instances, then few-shot examples.
+
+    Each serialization is followed by ``\\x00`` and ``\\x01`` fences the
+    few-shot part; hashed with 16-byte blake2b.  A journal header and a
+    shard plan seal the data they were computed from with it.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for instance in instances:
+        digest.update(serialize_instance(instance).encode("utf-8"))
+        digest.update(b"\x00")
+    digest.update(b"\x01")
+    for example in fewshot:
+        digest.update(serialize_instance(example).encode("utf-8"))
+        digest.update(b"\x00")
+    return digest.hexdigest()
 
 
 # --- the inverse: what the simulated LLM reads ---------------------------

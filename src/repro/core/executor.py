@@ -545,10 +545,11 @@ class BatchExecutor:
         circuit = state.get("circuit")
         if circuit is not None:
             self._lane_circuit = [str(value) for value in circuit["lanes"]]
-            self._stats.breaker_transitions = {
-                key: int(value)
-                for key, value in circuit["transitions"].items()
-            }
+            # In place: the journal stores keys sorted, and the report
+            # keeps its open -> half_open -> close order.
+            transitions = self._stats.breaker_transitions
+            for key in transitions:
+                transitions[key] = int(circuit["transitions"][key])
 
     def _pick_lane(self, ready_at: float) -> int:
         # AIMD narrows the *usable* lane count: lanes beyond the current

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.batching import make_batches
 from repro.core.config import PipelineConfig
-from repro.core.contextualize import serialize_instance
+from repro.core.contextualize import instances_digest
 from repro.core.executor import BatchExecutor, ExecutionReport, ExecutorConfig
 from repro.core.feature_selection import select_features
 from repro.core.parsing import parse_batch_answers, parse_batch_answers_lenient
@@ -80,6 +80,25 @@ class Exchange:
     messages: tuple[tuple[str, str], ...]
     reply: str
     n_expected: int
+
+    def payload(self) -> dict:
+        """The exchange as plain data (journal records, shard payloads)."""
+        return {
+            "messages": [[role, content] for role, content in self.messages],
+            "reply": self.reply,
+            "n_expected": self.n_expected,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Exchange":
+        """Inverse of :meth:`payload`."""
+        return cls(
+            messages=tuple(
+                (role, content) for role, content in payload["messages"]
+            ),
+            reply=payload["reply"],
+            n_expected=payload["n_expected"],
+        )
 
 
 @dataclass(frozen=True)
@@ -395,12 +414,13 @@ class Preprocessor:
                 checkpoint,
                 self._run_context(dataset, instances, fewshot, keep_raw),
             )
-            start_index = self._replay_journal(
-                session, units, predictions, quarantine,
-                stats, executor, obs, run_span, prep,
-            )
 
         try:
+            if session is not None:
+                start_index = self._replay_journal(
+                    session, units, predictions, quarantine,
+                    stats, executor, obs, run_span, prep,
+                )
             for unit in units[start_index:]:
                 watermark = (
                     session.mark(stats, obs) if session is not None else None
@@ -422,11 +442,7 @@ class Preprocessor:
                             detail=prediction.detail,
                         )
                         quarantine.append(entry)
-                        unit_quarantine.append({
-                            "index": index,
-                            "reason": prediction.reason,
-                            "detail": prediction.detail,
-                        })
+                        unit_quarantine.append(dataclasses.asdict(entry))
                         if obs is not None:
                             obs.metrics.counter("pipeline.quarantined").inc()
                     else:
@@ -530,19 +546,12 @@ class Preprocessor:
 
         Covers the pipeline and executor configuration, the client class,
         and a content digest over every serialized instance and few-shot
-        example — so a journal can only ever resume the byte-identical
-        run that wrote it.  Serialization goes through
-        :func:`serialize_instance` directly (not the prep cache) so
-        fingerprinting leaves the run's cache counters untouched.
+        example (:func:`~repro.core.contextualize.instances_digest`) — so
+        a journal can only ever resume the byte-identical run that wrote
+        it.  The digest serializes directly (not through the prep cache),
+        so fingerprinting leaves the run's cache counters untouched.  The
+        client's seed is checked when its journaled state is restored.
         """
-        digest = hashlib.blake2b(digest_size=16)
-        for instance in instances:
-            digest.update(serialize_instance(instance).encode("utf-8"))
-            digest.update(b"\x00")
-        digest.update(b"\x01")
-        for example in fewshot:
-            digest.update(serialize_instance(example).encode("utf-8"))
-            digest.update(b"\x00")
         return {
             "pipeline_config": jsonable(self._config),
             "executor_config": jsonable(self._executor_config),
@@ -553,7 +562,7 @@ class Preprocessor:
                 "task": dataset.task.name,
                 "n_instances": len(instances),
                 "n_fewshot": len(fewshot),
-                "digest": digest.hexdigest(),
+                "digest": instances_digest(instances, fewshot),
             },
         }
 
@@ -602,30 +611,20 @@ class Preprocessor:
                 )
             for index, prediction in zip(unit.indices, record.predictions):
                 predictions[index] = prediction
-            for entry in record.quarantine:
-                quarantine.append(QuarantinedInstance(
-                    index=entry["index"],
-                    reason=entry["reason"],
-                    detail=entry.get("detail", ""),
-                ))
+            quarantine.extend(
+                QuarantinedInstance(**entry) for entry in record.quarantine
+            )
             if stats.keep_raw:
                 for exchange in record.raw:
                     stats.raw_replies.append(exchange["reply"])
-                    stats.exchanges.append(Exchange(
-                        messages=tuple(
-                            (role, content)
-                            for role, content in exchange["messages"]
-                        ),
-                        reply=exchange["reply"],
-                        n_expected=exchange["n_expected"],
-                    ))
+                    stats.exchanges.append(Exchange.from_payload(exchange))
             if obs is not None:
                 replayed_spans.extend(
                     Span.from_dict(payload) for payload in record.spans
                 )
         state = records[-1].state
         executor.restore_checkpoint_state(state["executor"])
-        restore_client_state(self._client, state.get("client"))
+        restore_client_state(self._client, state.get("client"), session.path)
         counters = state["stats"]
         stats.usage = Usage(
             prompt_tokens=counters["prompt_tokens"],

@@ -102,18 +102,6 @@ class ExecutionGiveUpError(LLMError):
         )
 
 
-class ModelNotApplicableError(LLMError):
-    """The model cannot return reasonable answers for this task/dataset.
-
-    Mirrors the paper's "N/A" cells: e.g. Vicuna-13B on most datasets.
-    """
-
-    def __init__(self, model: str, reason: str):
-        self.model = model
-        self.reason = reason
-        super().__init__(f"{model} is not applicable: {reason}")
-
-
 class UnknownModelError(LLMError):
     """A model name has no registered profile."""
 

@@ -204,6 +204,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """One observed evaluation run; optionally writes its manifest."""
     from pathlib import Path
 
+    if args.resume and not Path(args.resume).exists():
+        print(f"error: no journal to resume at {args.resume}", file=sys.stderr)
+        return 2
     if args.workers > 1 or args.shards is not None:
         if args.resilience:
             print(
@@ -229,9 +232,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     checkpoint = None
     journal_path = args.resume or args.journal
-    if args.resume and not Path(args.resume).exists():
-        print(f"error: no journal to resume at {args.resume}", file=sys.stderr)
-        return 2
     from repro.runtime import JournalError
 
     if journal_path:

@@ -54,10 +54,8 @@ from repro.runtime.checkpoint import (
 from repro.runtime.journal import (
     BatchRecord,
     JournalHeader,
-    ResumeMismatchError,
     RunJournal,
-    context_diff,
-    run_fingerprint,
+    open_journal,
 )
 
 #: crash sites at a stage boundary (the engine's own chaos hooks; the
@@ -305,23 +303,9 @@ class FlowLedger:
 
     @classmethod
     def open(cls, path: str | Path, context: dict) -> "FlowLedger":
-        """Create or resume the ledger at ``path`` (fingerprint-checked)."""
-        path = Path(path)
-        fingerprint = run_fingerprint(context)
-        journal = RunJournal(path)
-        if not path.exists() or path.stat().st_size == 0:
-            header = JournalHeader(fingerprint=fingerprint, context=context)
-            journal.create(header)
-            return cls(journal, header, [])
-        header, records, error = RunJournal.recover(path)
-        if header.fingerprint != fingerprint:
-            diff = context_diff(header.context, context)
-            raise ResumeMismatchError(path, diff or ["$.fingerprint: differs"])
-        valid_bytes = (
-            error.recovered_bytes if error is not None else path.stat().st_size
-        )
-        journal.reopen(valid_bytes)
-        return cls(journal, header, records)
+        """Create or resume the ledger at ``path`` (fingerprint-checked,
+        see :func:`~repro.runtime.journal.open_journal`)."""
+        return cls(*open_journal(path, context))
 
     def append_stage(self, seq: int, name: str, state: dict) -> None:
         record = BatchRecord(
@@ -582,7 +566,9 @@ class FlowEngine:
                 # First fresh stage after a restored prefix: put the
                 # client back where the last journaled stage left it.
                 # (Isolation mode has no cross-stage client state.)
-                restore_client_state(self.client, pending_client_state)
+                restore_client_state(
+                    self.client, pending_client_state, ledger.path
+                )
             pending_client_state = None
             if self.backend is not None:
                 # Hermetic per-stage client: same construction as a pool
@@ -814,16 +800,7 @@ class FlowEngine:
     def _raw_exchanges(result) -> list[dict]:
         if result is None:
             return []
-        return [
-            {
-                "messages": [
-                    [role, content] for role, content in exchange.messages
-                ],
-                "reply": exchange.reply,
-                "n_expected": exchange.n_expected,
-            }
-            for exchange in result.exchanges
-        ]
+        return [exchange.payload() for exchange in result.exchanges]
 
     # -- stage execution --------------------------------------------------
 

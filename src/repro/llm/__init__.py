@@ -36,7 +36,6 @@ from repro.llm.faults import (
 from repro.llm.profiles import ModelProfile, get_profile, list_profiles
 from repro.llm.promptparse import PromptParseMemo
 from repro.llm.simulated import SimulatedLLM
-from repro.llm.accounting import UsageLedger
 
 __all__ = [
     "Backend",
@@ -60,5 +59,4 @@ __all__ = [
     "get_profile",
     "list_profiles",
     "SimulatedLLM",
-    "UsageLedger",
 ]

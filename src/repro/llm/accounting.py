@@ -8,11 +8,10 @@ rather than scripted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.llm.base import CompletionRequest, CompletionResponse, Usage
-from repro.llm.profiles import ModelProfile, get_profile
+from repro.llm.profiles import ModelProfile
 from repro.text.tokenize import (
     MESSAGE_FRAMING_TOKENS,
     REPLY_PRIMING_TOKENS,
@@ -52,68 +51,6 @@ def request_prompt_tokens(request: CompletionRequest) -> int:
 def completion_tokens(text: str) -> int:
     """Token count of a completion's text."""
     return count_tokens(text)
-
-
-@dataclass
-class LedgerEntry:
-    """One metered request."""
-
-    model: str
-    usage: Usage
-    cost_usd: float
-    latency_s: float
-
-
-@dataclass
-class UsageLedger:
-    """Accumulates request costs across a run.
-
-    The ledger is the experiment harness's single source of truth for the
-    token/cost/time columns; pipelines add one entry per request.
-    """
-
-    entries: list[LedgerEntry] = field(default_factory=list)
-
-    def record(self, request: CompletionRequest, response: CompletionResponse) -> LedgerEntry:
-        """Meter one completed request/response pair."""
-        profile = get_profile(request.model)
-        entry = LedgerEntry(
-            model=request.model,
-            usage=response.usage,
-            cost_usd=profile.cost_usd(
-                response.usage.prompt_tokens, response.usage.completion_tokens
-            ),
-            latency_s=response.latency_s,
-        )
-        self.entries.append(entry)
-        return entry
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total_usage(self) -> Usage:
-        total = Usage(prompt_tokens=0, completion_tokens=0)
-        for entry in self.entries:
-            total = total + entry.usage
-        return total
-
-    @property
-    def total_tokens(self) -> int:
-        return self.total_usage.total_tokens
-
-    @property
-    def total_cost_usd(self) -> float:
-        return sum(entry.cost_usd for entry in self.entries)
-
-    @property
-    def total_hours(self) -> float:
-        """Modeled sequential wall-clock, in hours (the paper's unit)."""
-        return sum(entry.latency_s for entry in self.entries) / 3600.0
-
-    def clear(self) -> None:
-        self.entries.clear()
 
 
 def meter_response(

@@ -5,7 +5,7 @@ The sharded runner (:mod:`repro.shard`) executes shards in worker
 state (call counters, caches, fault occurrence maps) and, in the general
 case, sockets.  What crosses instead is a :class:`Backend`: a small frozen
 value object that knows how to **build** a fresh client on the other side
-and how to **describe** itself as plain data for run fingerprints.
+and how to **describe** itself as plain data.
 
 Two protocols live here:
 
@@ -59,9 +59,11 @@ class Backend(Protocol):
 
     ``build()`` constructs a fresh client (stateless backends may be
     reused: every call returns an independent client).  ``describe()``
-    returns the backend's full identity as plain data — it is hashed into
-    shard-plan fingerprints and journal headers, so two backends that
-    describe equal build equal clients.
+    returns the backend's full identity as plain data, so two backends
+    that describe equal build equal clients.  The stage-isolation flow
+    ledger seals it into its header context
+    (:func:`~repro.flow.engine.flow_context`); shard plans and run
+    journals do not use it.
     """
 
     def build(self) -> LLMClient: ...

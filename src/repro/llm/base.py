@@ -122,3 +122,36 @@ class LLMClient(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         """Serve one chat completion."""
         ...
+
+
+class ClientWrapper:
+    """Base of the clients stacked in front of another one (fault
+    injection, garbling, degradation, caching).
+
+    Subclasses implement ``complete`` around ``_inner``.  The base
+    forwards the executor's simulated clock (``observe_time``) down the
+    stack and nests the inner client's resume state under ``"inner"``, so
+    a wrapper never hides the clock or the call counters of the client it
+    wraps.  Subclasses add their own counters by extending
+    :meth:`checkpoint_state` and :meth:`restore_checkpoint_state`.
+    """
+
+    def __init__(self, inner: LLMClient):
+        self._inner = inner
+
+    def observe_time(self, now: float) -> None:
+        """Forward the simulated clock to the wrapped client."""
+        forward = getattr(self._inner, "observe_time", None)
+        if callable(forward):
+            forward(now)
+
+    def checkpoint_state(self) -> dict:
+        """The wrapped client's resume state (``None`` when it has none)."""
+        capture = getattr(self._inner, "checkpoint_state", None)
+        return {"inner": capture() if callable(capture) else None}
+
+    def restore_checkpoint_state(self, state: dict) -> None:
+        """Restore state captured by :meth:`checkpoint_state`."""
+        restore = getattr(self._inner, "restore_checkpoint_state", None)
+        if state.get("inner") is not None and callable(restore):
+            restore(state["inner"])

@@ -12,7 +12,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-from repro.llm.base import CompletionRequest, CompletionResponse, LLMClient
+from repro.llm.base import (
+    ClientWrapper,
+    CompletionRequest,
+    CompletionResponse,
+    LLMClient,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs.metrics import MetricsRegistry
@@ -28,13 +33,16 @@ def request_key(request: CompletionRequest) -> tuple:
     )
 
 
-class CachingClient:
+class CachingClient(ClientWrapper):
     """LRU response cache in front of another client.
 
     Cache hits return the stored response with ``latency_s`` zeroed — a
     cache hit costs no wall-clock — but keep the token usage visible so
     callers can report "tokens that *would* have been spent" if they want
-    to (the ledger decides what to meter).
+    to.  As a :class:`~repro.llm.base.ClientWrapper` it forwards the
+    simulated clock and journals the wrapped client's resume state; the
+    cached entries themselves are not journaled, so a resumed run starts
+    with a cold cache.
     """
 
     def __init__(
@@ -45,7 +53,7 @@ class CachingClient:
     ):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        self._inner = inner
+        super().__init__(inner)
         self._max_entries = max_entries
         self._cache: OrderedDict[tuple, CompletionResponse] = OrderedDict()
         self._metrics = metrics

@@ -37,8 +37,9 @@ upstream: whole windows of 429 storms, latency brownouts, overload
 rejections, and blackouts, scripted by a
 :class:`~repro.resilience.degradation.DegradationPlan` on the simulated
 clock.  The executor feeds the clock in through ``observe_time`` (which
-every wrapper here forwards), so which calls degrade is a pure function
-of virtual time and the plan seed — bit-identical at any concurrency.
+every :class:`~repro.llm.base.ClientWrapper` forwards), so which calls
+degrade is a pure function of virtual time and the plan seed —
+bit-identical at any concurrency.
 """
 
 from __future__ import annotations
@@ -53,7 +54,12 @@ from repro.errors import (
     RateLimitError,
     TransientLLMError,
 )
-from repro.llm.base import CompletionRequest, CompletionResponse, LLMClient
+from repro.llm.base import (
+    ClientWrapper,
+    CompletionRequest,
+    CompletionResponse,
+    LLMClient,
+)
 from repro.resilience.degradation import DegradationPlan
 from repro.resilience.signals import ThrottleSignal, attach
 
@@ -103,7 +109,7 @@ class Fault:
 FaultSchedule = Sequence["Fault | None"]
 
 
-class FaultInjectingClient:
+class FaultInjectingClient(ClientWrapper):
     """Applies a scripted fault plan in front of another client.
 
     ``plan`` is one of:
@@ -123,7 +129,7 @@ class FaultInjectingClient:
         inner: LLMClient,
         plan: Mapping[int, Fault] | Mapping[str, Fault | FaultSchedule] | FaultPlan,
     ):
-        self._inner = inner
+        super().__init__(inner)
         self._by_fingerprint: dict[str, tuple[Fault | None, ...]] = {}
         self._occurrences: dict[str, int] = {}
         if callable(plan):
@@ -162,12 +168,6 @@ class FaultInjectingClient:
             return None
         return schedule[occurrence]
 
-    def observe_time(self, now: float) -> None:
-        """Forward the simulated clock to the wrapped client."""
-        forward = getattr(self._inner, "observe_time", None)
-        if callable(forward):
-            forward(now)
-
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         self.n_calls += 1
         fault = self._scheduled_fault(request)
@@ -186,32 +186,25 @@ class FaultInjectingClient:
     def checkpoint_state(self) -> dict:
         """Mutable injection state (plus the wrapped client's), journaled
         so a resumed drill continues its fault script mid-sentence."""
-        inner_state = None
-        capture = getattr(self._inner, "checkpoint_state", None)
-        if callable(capture):
-            inner_state = capture()
         return {
+            **super().checkpoint_state(),
             "n_calls": self.n_calls,
             "n_injected": self.n_injected,
             "occurrences": dict(self._occurrences),
-            "inner": inner_state,
         }
 
     def restore_checkpoint_state(self, state: dict) -> None:
         """Restore state captured by :meth:`checkpoint_state`."""
+        super().restore_checkpoint_state(state)
         self.n_calls = int(state["n_calls"])
         self.n_injected = int(state["n_injected"])
         self._occurrences = {
             str(key): int(value)
             for key, value in state.get("occurrences", {}).items()
         }
-        if state.get("inner") is not None:
-            restore = getattr(self._inner, "restore_checkpoint_state", None)
-            if callable(restore):
-                restore(state["inner"])
 
 
-class GarblingClient:
+class GarblingClient(ClientWrapper):
     """Serves an unparseable reply whenever a trigger string is in the prompt.
 
     Wraps any :class:`~repro.llm.base.LLMClient`; a request whose
@@ -235,17 +228,11 @@ class GarblingClient:
     ):
         if not triggers:
             raise LLMError("GarblingClient needs at least one trigger string")
-        self._inner = inner
+        super().__init__(inner)
         self._triggers = tuple(str(trigger) for trigger in triggers)
         self._reply = reply
         self.n_calls = 0
         self.n_garbled = 0
-
-    def observe_time(self, now: float) -> None:
-        """Forward the simulated clock to the wrapped client."""
-        forward = getattr(self._inner, "observe_time", None)
-        if callable(forward):
-            forward(now)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         self.n_calls += 1
@@ -261,26 +248,19 @@ class GarblingClient:
         return self._inner.complete(request)
 
     def checkpoint_state(self) -> dict:
-        inner_state = None
-        capture = getattr(self._inner, "checkpoint_state", None)
-        if callable(capture):
-            inner_state = capture()
         return {
+            **super().checkpoint_state(),
             "n_calls": self.n_calls,
             "n_garbled": self.n_garbled,
-            "inner": inner_state,
         }
 
     def restore_checkpoint_state(self, state: dict) -> None:
+        super().restore_checkpoint_state(state)
         self.n_calls = int(state["n_calls"])
         self.n_garbled = int(state["n_garbled"])
-        if state.get("inner") is not None:
-            restore = getattr(self._inner, "restore_checkpoint_state", None)
-            if callable(restore):
-                restore(state["inner"])
 
 
-class DegradedClient:
+class DegradedClient(ClientWrapper):
     """Scripts backend *sickness* windows over the wrapped client.
 
     A :class:`~repro.resilience.degradation.DegradationPlan` divides the
@@ -311,7 +291,7 @@ class DegradedClient:
         plan: DegradationPlan,
         backend_name: str = "primary",
     ):
-        self._inner = inner
+        super().__init__(inner)
         self._plan = plan
         self._name = backend_name
         self._now = 0.0
@@ -336,9 +316,7 @@ class DegradedClient:
         stays bit-identical at any concurrency.
         """
         self._now = now
-        forward = getattr(self._inner, "observe_time", None)
-        if callable(forward):
-            forward(self._now)
+        super().observe_time(now)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         self.n_calls += 1
@@ -392,11 +370,8 @@ class DegradedClient:
         )
 
     def checkpoint_state(self) -> dict:
-        inner_state = None
-        capture = getattr(self._inner, "checkpoint_state", None)
-        if callable(capture):
-            inner_state = capture()
         return {
+            **super().checkpoint_state(),
             "now": self._now,
             "episode_calls": {
                 str(index): count
@@ -407,10 +382,10 @@ class DegradedClient:
             "n_overloads": self.n_overloads,
             "n_blackouts": self.n_blackouts,
             "n_slowed": self.n_slowed,
-            "inner": inner_state,
         }
 
     def restore_checkpoint_state(self, state: dict) -> None:
+        super().restore_checkpoint_state(state)
         self._now = float(state["now"])
         self._episode_calls = {
             int(index): int(count)
@@ -421,10 +396,6 @@ class DegradedClient:
         self.n_overloads = int(state["n_overloads"])
         self.n_blackouts = int(state["n_blackouts"])
         self.n_slowed = int(state["n_slowed"])
-        if state.get("inner") is not None:
-            restore = getattr(self._inner, "restore_checkpoint_state", None)
-            if callable(restore):
-                restore(state["inner"])
 
 
 def fail_first(n: int, fault: Fault) -> FaultPlan:

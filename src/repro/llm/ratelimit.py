@@ -1,10 +1,17 @@
-"""Rate limiting and retry with exponential backoff.
+"""Lane clocks and rate limits on the simulated timeline.
 
-Commercial LLM APIs throttle by requests- and tokens-per-minute; robust
-preprocessing pipelines wrap every call in backoff-and-retry.  Both pieces
-run on a *simulated clock* so tests and experiments never sleep: the clock
-advances by the modeled latency of each request plus any imposed waits,
-and the total simulated time feeds the experiment's hours column.
+Commercial LLM APIs throttle by requests- and tokens-per-minute.  Here
+that budget is checked against *virtual* time so tests and experiments
+never sleep:
+
+- :class:`LaneClock` — per-lane virtual clocks; the executor occupies a
+  lane for each request's modeled latency, and the makespan feeds the
+  experiment's hours column;
+- :class:`RateLimiter` — the global sliding one-minute RPM/TPM window the
+  executor checks before every attempt (the executor's retry loop owns
+  the backoff and the wait);
+- :class:`SlidingWindowBudget` — the O(1) monotonic variant the serving
+  layer's admission control uses.
 """
 
 from __future__ import annotations
@@ -13,27 +20,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import LLMError, RateLimitError
-from repro.llm.base import CompletionRequest, CompletionResponse, LLMClient
+from repro.errors import RateLimitError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs.metrics import MetricsRegistry
-
-
-class SimulatedClock:
-    """A monotonically advancing virtual clock (seconds)."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
-        self._now += seconds
 
 
 class LaneClock:
@@ -158,32 +148,25 @@ class RateLimiter:
     def __init__(
         self,
         limit: RateLimit,
-        clock: SimulatedClock | None = None,
         metrics: "MetricsRegistry | None" = None,
     ):
         self._limit = limit
-        self._clock = clock
         self._metrics = metrics
         self._events: list[tuple[float, int]] = []  # (time, tokens)
 
     def check(
         self,
         tokens: int,
-        now: float | None = None,
+        now: float,
         floor: float | None = None,
     ) -> None:
         """Record an attempt at virtual time ``now``; raise on over-budget.
 
-        ``now`` defaults to the attached clock's time (the sequential
-        case).  Lanes run at different virtual times, so a caller passes
-        its lane's time explicitly; ``floor`` is the earliest time any
-        lane could still issue a request — events older than ``floor - 60``
-        can never be observed again and are pruned.
+        Lanes run at different virtual times, so a caller passes its
+        lane's time; ``floor`` is the earliest time any lane could still
+        issue a request — events older than ``floor - 60`` can never be
+        observed again and are pruned.
         """
-        if now is None:
-            if self._clock is None:
-                raise ValueError("RateLimiter needs a clock or an explicit now")
-            now = self._clock.now
         if floor is None:
             floor = now
         self._events = [
@@ -263,52 +246,3 @@ class SlidingWindowBudget:
         self._events.append((now, tokens))
         self._token_sum += tokens
         return None
-
-
-class RetryingClient:
-    """Backoff-and-retry wrapper enforcing a rate limit on a virtual clock.
-
-    The modeled latency of every successful request, and every backoff
-    wait, advances the shared clock — so ``clock.now`` after a run is the
-    wall-clock a real deployment would have spent.
-    """
-
-    def __init__(
-        self,
-        inner: LLMClient,
-        limit: RateLimit,
-        clock: SimulatedClock | None = None,
-        max_retries: int = 6,
-        base_backoff_s: float = 1.0,
-    ):
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        self._inner = inner
-        self._clock = clock or SimulatedClock()
-        self._limiter = RateLimiter(limit, self._clock)
-        self._max_retries = max_retries
-        self._base_backoff_s = base_backoff_s
-        self.n_rate_limit_hits = 0
-
-    @property
-    def clock(self) -> SimulatedClock:
-        return self._clock
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        tokens = request.prompt_tokens
-        backoff = self._base_backoff_s
-        for attempt in range(self._max_retries + 1):
-            try:
-                self._limiter.check(tokens)
-            except RateLimitError as exc:
-                self.n_rate_limit_hits += 1
-                if attempt == self._max_retries:
-                    raise
-                # Wait out the window (plus exponential backoff), then retry.
-                self._clock.advance(max(exc.retry_after, backoff))
-                backoff *= 2.0
-                continue
-            response = self._inner.complete(request)
-            self._clock.advance(response.latency_s)
-            return response
-        raise LLMError("retry loop exited without a response")  # pragma: no cover

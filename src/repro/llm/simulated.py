@@ -92,11 +92,22 @@ class SimulatedLLM:
         Replies depend on ``_call_counter`` (retries resample), so a
         resumed run must restart counting exactly where the interrupted
         one stopped to reproduce its remaining replies bit-identically.
+        The seed rides along because replies depend on it too.
         """
-        return {"call_counter": self._call_counter}
+        return {"call_counter": self._call_counter, "seed": self._seed}
 
     def restore_checkpoint_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`checkpoint_state`."""
+        """Restore state captured by :meth:`checkpoint_state`.
+
+        State journaled under another seed (or under none) is refused: a
+        run resumed that way would mix two clients' replies.
+        """
+        journaled = state.get("seed")
+        if journaled != self._seed:
+            raise LLMError(
+                f"client state was journaled with seed {journaled!r}, "
+                f"this client has seed {self._seed!r}"
+            )
         self._call_counter = int(state["call_counter"])
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:

@@ -67,6 +67,68 @@ def canonical_json(value: object) -> str:
     ) + "\n"
 
 
+@dataclass(frozen=True)
+class GoldenDiff:
+    """One divergence between an expected payload and a fresh one.
+
+    The expected side is a stored golden snapshot, an uninterrupted
+    baseline run, or the context a journal was sealed to.
+    """
+
+    path: str
+    kind: str        # "changed" | "missing" | "added" | "type"
+    expected: object
+    actual: object
+
+    def render(self) -> str:
+        def clip(value: object) -> str:
+            text = repr(value)
+            return text if len(text) <= 160 else text[:160] + "…"
+        return (
+            f"{self.path} [{self.kind}]\n"
+            f"  golden:  {clip(self.expected)}\n"
+            f"  current: {clip(self.actual)}"
+        )
+
+
+def diff_payloads(expected: object, actual: object, path: str = "$") -> list[GoldenDiff]:
+    """Structured diff of two JSON payloads, one entry per divergent path.
+
+    The one recursive differ: golden verification, the crash-resume
+    harnesses and the journal's resume refusal all report through it.
+    """
+    if type(expected) is not type(actual) and not (
+        isinstance(expected, (int, float)) and isinstance(actual, (int, float))
+        and not isinstance(expected, bool) and not isinstance(actual, bool)
+    ):
+        return [GoldenDiff(path, "type", expected, actual)]
+    if isinstance(expected, dict):
+        diffs: list[GoldenDiff] = []
+        for key in sorted(expected.keys() | actual.keys()):
+            sub = f"{path}.{key}"
+            if key not in actual:
+                diffs.append(GoldenDiff(sub, "missing", expected[key], None))
+            elif key not in expected:
+                diffs.append(GoldenDiff(sub, "added", None, actual[key]))
+            else:
+                diffs.extend(diff_payloads(expected[key], actual[key], sub))
+        return diffs
+    if isinstance(expected, list):
+        diffs = []
+        for index in range(max(len(expected), len(actual))):
+            sub = f"{path}[{index}]"
+            if index >= len(actual):
+                diffs.append(GoldenDiff(sub, "missing", expected[index], None))
+            elif index >= len(expected):
+                diffs.append(GoldenDiff(sub, "added", None, actual[index]))
+            else:
+                diffs.extend(diff_payloads(expected[index], actual[index], sub))
+        return diffs
+    if expected != actual:
+        return [GoldenDiff(path, "changed", expected, actual)]
+    return []
+
+
 @dataclass
 class RunManifest:
     """The provenance record of one evaluation run (all plain data)."""

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.obs.manifest import canonical_json
+from repro.obs.manifest import canonical_json, diff_payloads
 from repro.runtime.checkpoint import JournalChaos, RunCheckpoint
 
 if TYPE_CHECKING:
@@ -168,10 +168,7 @@ def result_payload(run) -> dict:
     result = run.result
     payload = {
         "predictions": result.predictions,
-        "quarantine": [
-            {"index": q.index, "reason": q.reason, "detail": q.detail}
-            for q in result.quarantine
-        ],
+        "quarantine": [asdict(q) for q in result.quarantine],
         "coverage": result.coverage,
         "usage": {
             "prompt_tokens": result.usage.prompt_tokens,
@@ -199,7 +196,6 @@ def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTri
     from repro.llm.faults import Fault
     from repro.resilience.pool import PoolBackend
     from repro.runtime.journal import RunJournal
-    from repro.testing.golden import diff_payloads
 
     if site not in CRASH_SITES:
         raise LLMError(

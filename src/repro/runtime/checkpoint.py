@@ -25,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.errors import LLMError
 from repro.llm.backend import Checkpointable
 from repro.runtime.journal import (
     BatchRecord,
+    JournalError,
     JournalHeader,
-    ResumeMismatchError,
     RunJournal,
-    context_diff,
-    run_fingerprint,
+    open_journal,
 )
 
 
@@ -86,11 +86,21 @@ def capture_client_state(client: object) -> dict | None:
     return None
 
 
-def restore_client_state(client: object, state: dict | None) -> None:
-    if state is None:
+def restore_client_state(
+    client: object, state: dict | None, path: str | Path
+) -> None:
+    """Put journaled client state back into ``client``.
+
+    A client that refuses the state (it was journaled under another
+    client seed) fails the resume with a :class:`JournalError` naming the
+    journal at ``path``.
+    """
+    if state is None or not isinstance(client, Checkpointable):
         return
-    if isinstance(client, Checkpointable):
+    try:
         client.restore_checkpoint_state(state)
+    except LLMError as error:
+        raise JournalError(f"cannot resume: {error}", path=path) from None
 
 
 class CheckpointSession:
@@ -120,29 +130,9 @@ class CheckpointSession:
     def open(
         cls, checkpoint: RunCheckpoint, context: dict
     ) -> "CheckpointSession":
-        """Create or resume the journal at ``checkpoint.path``.
-
-        A fresh (or empty) file gets a sealed header for ``context``.  An
-        existing journal is recovered — the valid prefix is kept, a torn
-        tail is truncated — and its fingerprint must match ``context``'s,
-        else :class:`~repro.runtime.journal.ResumeMismatchError` reports
-        the divergent paths and nothing is touched.
-        """
-        path = Path(checkpoint.path)
-        fingerprint = run_fingerprint(context)
-        journal = RunJournal(path)
-        if not path.exists() or path.stat().st_size == 0:
-            header = JournalHeader(fingerprint=fingerprint, context=context)
-            journal.create(header)
-            return cls(journal, header, [], chaos=checkpoint.chaos)
-        header, records, error = RunJournal.recover(path)
-        if header.fingerprint != fingerprint:
-            diff = context_diff(header.context, context)
-            raise ResumeMismatchError(path, diff or ["$.fingerprint: differs"])
-        valid_bytes = (
-            error.recovered_bytes if error is not None else path.stat().st_size
-        )
-        journal.reopen(valid_bytes)
+        """Create or resume the journal at ``checkpoint.path``
+        (see :func:`~repro.runtime.journal.open_journal`)."""
+        journal, header, records = open_journal(checkpoint.path, context)
         return cls(journal, header, records, chaos=checkpoint.chaos)
 
     # -- per-batch bookkeeping -------------------------------------------
@@ -196,11 +186,7 @@ class CheckpointSession:
             ]
         if stats.keep_raw:
             raw = [
-                {
-                    "messages": [[role, content] for role, content in ex.messages],
-                    "reply": ex.reply,
-                    "n_expected": ex.n_expected,
-                }
+                ex.payload()
                 for ex in stats.exchanges[watermark["n_exchanges"]:]
             ]
         state = {

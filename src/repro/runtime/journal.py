@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.obs.manifest import canonical_json
+from repro.obs.manifest import canonical_json, diff_payloads
 
 JOURNAL_VERSION = 2
 
@@ -102,11 +102,18 @@ class ResumeMismatchError(JournalError):
     """A journal belongs to a different run than the one resuming from it.
 
     ``diff`` lists the divergent context paths, one ``path: journal !=
-    current`` line each, so the operator sees exactly which knob changed.
+    current`` line each (``<absent>`` for a side that lacks the path), so
+    the operator sees exactly which knob changed.
     """
 
-    def __init__(self, path: str | Path, diff: list[str]):
-        self.diff = list(diff)
+    def __init__(self, path: str | Path, journaled: dict, current: dict):
+        self.diff = [
+            f"{diff.path}: "
+            f"{'<absent>' if diff.kind == 'added' else repr(diff.expected)}"
+            f" != "
+            f"{'<absent>' if diff.kind == 'missing' else repr(diff.actual)}"
+            for diff in diff_payloads(journaled, current)
+        ] or ["$.fingerprint: differs"]
         shown = "\n  ".join(self.diff[:12])
         more = "" if len(self.diff) <= 12 else f"\n  … {len(self.diff) - 12} more"
         super().__init__(
@@ -146,31 +153,6 @@ def run_fingerprint(context: dict) -> str:
     class — yields a different fingerprint and resume refuses.
     """
     return hashlib.sha256(canonical_json(context).encode("utf-8")).hexdigest()[:32]
-
-
-def context_diff(expected: object, actual: object, path: str = "$") -> list[str]:
-    """Path-level differences between two JSON-able context payloads."""
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        diffs: list[str] = []
-        for key in sorted(expected.keys() | actual.keys()):
-            sub = f"{path}.{key}"
-            if key not in actual:
-                diffs.append(f"{sub}: {expected[key]!r} != <absent>")
-            elif key not in expected:
-                diffs.append(f"{sub}: <absent> != {actual[key]!r}")
-            else:
-                diffs.extend(context_diff(expected[key], actual[key], sub))
-        return diffs
-    if isinstance(expected, list) and isinstance(actual, list):
-        if len(expected) != len(actual):
-            return [f"{path}: {len(expected)} item(s) != {len(actual)} item(s)"]
-        diffs = []
-        for index, (a, b) in enumerate(zip(expected, actual)):
-            diffs.extend(context_diff(a, b, f"{path}[{index}]"))
-        return diffs
-    if expected != actual:
-        return [f"{path}: {expected!r} != {actual!r}"]
-    return []
 
 
 @dataclass(frozen=True)
@@ -405,3 +387,32 @@ class RunJournal:
             if error.header is None:
                 raise
             return error.header, error.records, error
+
+
+def open_journal(
+    path: str | Path, context: dict
+) -> tuple[RunJournal, JournalHeader, list[BatchRecord]]:
+    """Create the journal at ``path`` for ``context``, or resume it.
+
+    A missing or empty file gets a sealed header for ``context``.  An
+    existing journal is recovered — the valid prefix is kept, a torn tail
+    is truncated — and its fingerprint must match ``context``'s, else
+    :class:`ResumeMismatchError` reports the divergent paths and the file
+    is not touched.  Returns the journal open for appending, its header,
+    and the replayable records.
+    """
+    path = Path(path)
+    fingerprint = run_fingerprint(context)
+    journal = RunJournal(path)
+    if not path.exists() or path.stat().st_size == 0:
+        header = JournalHeader(fingerprint=fingerprint, context=context)
+        journal.create(header)
+        return journal, header, []
+    header, records, error = RunJournal.recover(path)
+    if header.fingerprint != fingerprint:
+        raise ResumeMismatchError(path, header.context, context)
+    valid_bytes = (
+        error.recovered_bytes if error is not None else path.stat().st_size
+    )
+    journal.reopen(valid_bytes)
+    return journal, header, records

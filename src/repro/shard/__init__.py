@@ -2,30 +2,21 @@
 
 The scale-out layer: partition a dataset into content-addressed shards
 (:mod:`repro.shard.plan`), run each shard as a hermetic pipeline in a
-worker process (:mod:`repro.shard.runner`), and fold the per-shard
-payloads with an order-independent merge (:mod:`repro.shard.merge`) whose
-output is bit-identical at any worker count.  :mod:`repro.shard.chaos`
-drills worker kills.
+worker process (:mod:`repro.shard.runner`), and merge the per-shard
+payloads keyed by shard id (:mod:`repro.shard.merge`), so the output is
+bit-identical at any worker count.  :mod:`repro.shard.chaos` drills
+worker kills.
 """
 
 from repro.shard.chaos import ShardChaosTrial, run_shard_crash_trial
-from repro.shard.merge import (
-    MergedRun,
-    combine,
-    delta_of,
-    empty_delta,
-    finalize,
-    merge_shards,
-)
+from repro.shard.merge import MergedRun, merge_shards
 from repro.shard.plan import (
     ShardPlan,
     ShardSpec,
     config_fingerprint,
-    dataset_digest,
     default_shard_count,
     plan_shards,
     shard_of,
-    stream_plan_shards,
 )
 from repro.shard.runner import (
     SHARD_CRASH_SITES,
@@ -47,13 +38,8 @@ __all__ = [
     "ShardSpec",
     "ShardTask",
     "ShardedRun",
-    "combine",
     "config_fingerprint",
-    "dataset_digest",
     "default_shard_count",
-    "delta_of",
-    "empty_delta",
-    "finalize",
     "merge_shards",
     "plan_shards",
     "run_shard",
@@ -62,5 +48,4 @@ __all__ = [
     "shard_dataset",
     "shard_of",
     "shard_payload",
-    "stream_plan_shards",
 ]

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.errors import InjectedCrashError, ShardError
 from repro.llm.backend import Backend, FaultBackend
+from repro.obs.manifest import diff_payloads
 from repro.shard.runner import SHARD_CRASH_SITES, ShardChaos, run_sharded
 
 
@@ -80,7 +81,6 @@ def run_shard_crash_trial(
 ) -> ShardChaosTrial:
     """Crash the busiest worker at ``site``, resume, compare bit for bit."""
     from repro.runtime.journal import RunJournal
-    from repro.testing.golden import diff_payloads
 
     if site not in SHARD_CRASH_SITES:
         raise ShardError(

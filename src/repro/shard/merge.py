@@ -1,21 +1,15 @@
 """Deterministic merge of per-shard results.
 
 Per-shard payloads are plain data (:func:`~repro.shard.runner.shard_payload`
-emits them, and they pickle across process boundaries unchanged).  The
-merge is a *fold* over shard deltas:
+emits them, and they pickle across process boundaries unchanged).
+:func:`merge_shards` keys them by shard id — a shard id arriving twice
+(the one thing scheduling could never legally produce) raises
+:class:`~repro.errors.ShardError` instead of silently double-counting —
+and then resolves them against the :class:`ShardPlan`, walking the plan's
+shards in shard-id order.  The arrival order of the payloads therefore
+cannot reach the result: that is the worker-count-independence guarantee.
 
-    ``empty_delta() → delta_of(payload) → combine(a, b) → finalize(plan, d)``
-
-``combine`` is the disjoint union of shard-id-keyed maps, which makes it
-associative and commutative by construction — fold the payloads in any
-order, grouped any way, and ``finalize`` sees the same delta.  That is the
-algebraic core of the worker-count-independence guarantee: worker
-scheduling only permutes the fold order, which the fold cannot observe.
-Overlapping shard ids (the one thing scheduling could never legally
-produce) raise :class:`~repro.errors.ShardError` instead of silently
-double-counting.
-
-``finalize`` then resolves the delta against the :class:`ShardPlan`:
+Resolving against the plan:
 
 - predictions scatter to global dataset indices through the plan;
 - quarantine entries remap local → global indices and sort, matching the
@@ -42,27 +36,6 @@ from repro.shard.plan import ShardPlan
 #: id offset between consecutive shards' span streams; one shard never
 #: allocates anywhere near this many spans
 SPAN_STRIDE = 1_000_000
-
-
-def empty_delta() -> dict:
-    """The fold's identity element."""
-    return {"shards": {}}
-
-
-def delta_of(payload: dict) -> dict:
-    """Lift one shard payload into a delta."""
-    return {"shards": {int(payload["shard_id"]): payload}}
-
-
-def combine(a: dict, b: dict) -> dict:
-    """Disjoint union of two deltas (associative, commutative)."""
-    overlap = set(a["shards"]) & set(b["shards"])
-    if overlap:
-        raise ShardError(
-            f"shard delta(s) {sorted(overlap)} appear on both sides of a "
-            f"combine; a shard must be folded in exactly once"
-        )
-    return {"shards": {**a["shards"], **b["shards"]}}
 
 
 @dataclass
@@ -181,17 +154,26 @@ def _rebase_spans(shard_id: int, spans: list[dict]) -> list[dict]:
     return rebased
 
 
-def finalize(plan: ShardPlan, delta: dict) -> MergedRun:
-    """Resolve a fully-combined delta against its plan (module docstring)."""
-    payloads = delta["shards"]
+def merge_shards(plan: ShardPlan, payloads: list[dict]) -> MergedRun:
+    """Merge one payload per non-empty shard of ``plan`` (any order) into
+    a single-run-shaped result (see the module docstring)."""
+    by_shard: dict[int, dict] = {}
+    for payload in payloads:
+        shard_id = int(payload["shard_id"])
+        if shard_id in by_shard:
+            raise ShardError(
+                f"shard {shard_id} has more than one payload; a shard must "
+                f"be merged exactly once"
+            )
+        by_shard[shard_id] = payload
     expected = {spec.shard_id for spec in plan.nonempty_shards}
-    missing = expected - set(payloads)
+    missing = expected - set(by_shard)
     if missing:
         raise ShardError(
             f"merge is missing shard payload(s) {sorted(missing)}; the "
             f"plan has {len(expected)} non-empty shard(s)"
         )
-    foreign = set(payloads) - expected
+    foreign = set(by_shard) - expected
     if foreign:
         raise ShardError(
             f"merge received payload(s) for unplanned shard(s) "
@@ -211,7 +193,7 @@ def finalize(plan: ShardPlan, delta: dict) -> MergedRun:
     any_spans = False
 
     for spec in plan.nonempty_shards:
-        payload = payloads[spec.shard_id]
+        payload = by_shard[spec.shard_id]
         if list(payload["indices"]) != list(spec.indices):
             raise ShardError(
                 f"shard {spec.shard_id} payload covers indices "
@@ -268,11 +250,3 @@ def finalize(plan: ShardPlan, delta: dict) -> MergedRun:
         spans=spans if any_spans else None,
         plan=plan.describe(),
     )
-
-
-def merge_shards(plan: ShardPlan, payloads: list[dict]) -> MergedRun:
-    """Fold ``payloads`` (any order) and finalize against ``plan``."""
-    delta = empty_delta()
-    for payload in payloads:
-        delta = combine(delta, delta_of(payload))
-    return finalize(plan, delta)

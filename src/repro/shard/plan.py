@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.core.config import PipelineConfig
-from repro.core.contextualize import serialize_instance
+from repro.core.contextualize import instances_digest, serialize_instance
 from repro.data.instances import Instance, PreprocessingDataset
 from repro.errors import ShardError
 from repro.obs.manifest import canonical_json, jsonable
@@ -43,39 +43,11 @@ MAX_AUTO_SHARDS = 32
 MIN_BATCHES_PER_SHARD = 8
 
 
-def dataset_digest(dataset: PreprocessingDataset) -> str:
-    """Content digest over every instance and few-shot example, in order.
-
-    Same construction as the run journal's dataset digest
-    (``Preprocessor._run_context``): serialized instance text separated by
-    ``\\x00``, with ``\\x01`` fencing the few-shot pool, hashed with
-    16-byte blake2b.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for instance in dataset.instances:
-        digest.update(serialize_instance(instance).encode("utf-8"))
-        digest.update(b"\x00")
-    digest.update(b"\x01")
-    for example in dataset.fewshot_pool:
-        digest.update(serialize_instance(example).encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
 def config_fingerprint(config: PipelineConfig) -> str:
     """Canonical digest of the full pipeline configuration."""
     return hashlib.sha256(
         canonical_json(jsonable(config)).encode("utf-8")
     ).hexdigest()[:16]
-
-
-def _shard_of_text(text: str, n_shards: int, salt: str) -> int:
-    """Shard assignment from an instance's serialized text (see shard_of)."""
-    hasher = hashlib.blake2b(digest_size=8)
-    hasher.update(salt.encode("utf-8"))
-    hasher.update(b"\x00")
-    hasher.update(text.encode("utf-8"))
-    return int.from_bytes(hasher.digest(), "little") % n_shards
 
 
 def shard_of(instance: Instance, n_shards: int, salt: str) -> int:
@@ -87,7 +59,11 @@ def shard_of(instance: Instance, n_shards: int, salt: str) -> int:
     rest.  Position plays no part, which is what makes the plan
     insertion-order-free.
     """
-    return _shard_of_text(serialize_instance(instance), n_shards, salt)
+    hasher = hashlib.blake2b(digest_size=8)
+    hasher.update(salt.encode("utf-8"))
+    hasher.update(b"\x00")
+    hasher.update(serialize_instance(instance).encode("utf-8"))
+    return int.from_bytes(hasher.digest(), "little") % n_shards
 
 
 def default_shard_count(n_instances: int, config: PipelineConfig) -> int:
@@ -177,57 +153,9 @@ def plan_shards(
     for index, instance in enumerate(instances):
         members[shard_of(instance, n_shards, salt)].append(index)
     return ShardPlan(
-        digest=dataset_digest(dataset),
+        digest=instances_digest(instances, dataset.fewshot_pool),
         fingerprint=fingerprint,
         n_instances=len(instances),
-        n_shards=n_shards,
-        shards=tuple(
-            ShardSpec(shard_id=shard_id, indices=tuple(indices))
-            for shard_id, indices in enumerate(members)
-        ),
-    )
-
-
-def stream_plan_shards(
-    instances,
-    config: PipelineConfig,
-    n_shards: int,
-    fewshot=(),
-) -> ShardPlan:
-    """A shard plan from an instance *stream*, in one pass and O(plan) memory.
-
-    The factory's streamed datasets never materialize an instance list,
-    so this variant consumes any iterable: each instance is serialized
-    once, folded into the (incremental) dataset digest and assigned its
-    shard, then dropped.  For the same instances in the same order the
-    result is byte-identical to :func:`plan_shards` on a materialized
-    dataset — same digest framing (``\\x00`` separators, ``\\x01``
-    fencing the few-shot pool), same content-addressed assignment.
-
-    ``n_shards`` is required: automatic sizing needs the instance count,
-    which a stream only knows when it is exhausted.
-    """
-    if n_shards < 1:
-        raise ShardError(f"n_shards must be >= 1, got {n_shards}")
-    fingerprint = config_fingerprint(config)
-    salt = f"{fingerprint}|{n_shards}"
-    digest = hashlib.blake2b(digest_size=16)
-    members: list[list[int]] = [[] for _ in range(n_shards)]
-    n_instances = 0
-    for index, instance in enumerate(instances):
-        text = serialize_instance(instance)
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\x00")
-        members[_shard_of_text(text, n_shards, salt)].append(index)
-        n_instances += 1
-    digest.update(b"\x01")
-    for example in fewshot:
-        digest.update(serialize_instance(example).encode("utf-8"))
-        digest.update(b"\x00")
-    return ShardPlan(
-        digest=digest.hexdigest(),
-        fingerprint=fingerprint,
-        n_instances=n_instances,
         n_shards=n_shards,
         shards=tuple(
             ShardSpec(shard_id=shard_id, indices=tuple(indices))

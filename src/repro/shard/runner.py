@@ -11,15 +11,16 @@
 3. :func:`run_shard` executes one task — in this process at ``workers=1``,
    in a **spawn**-context :class:`~concurrent.futures.ProcessPoolExecutor`
    otherwise — and returns a plain-data payload;
-4. :func:`~repro.shard.merge.merge_shards` folds the payloads.
+4. :func:`~repro.shard.merge.merge_shards` merges the payloads, keyed by
+   shard id.
 
 Why the result cannot depend on the worker count: every shard runs a
 *hermetic* pipeline — a fresh client built from the backend, its own
 executor clock, its own metrics registry — so nothing a shard computes can
-observe when (or where) its siblings ran.  Worker scheduling only permutes
-the merge fold, and the fold is order-independent by construction.  The
-bit-identity tests in ``tests/shard/test_runner.py`` pin this at workers
-1, 2, and 4.
+observe when (or where) its siblings ran.  The pool hands the payloads
+back in task order, and the merge reads them by shard id in plan order
+anyway.  The bit-identity tests in ``tests/shard/test_runner.py`` pin
+this at workers 1, 2, and 4.
 
 Crash safety: an :class:`~repro.errors.InjectedCrashError` inside a worker
 (a chaos drill's simulated process kill) is caught *in the worker* and
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.data.instances import PreprocessingDataset
@@ -116,10 +117,7 @@ def shard_payload(task: ShardTask, result) -> dict:
         "shard_id": task.shard_id,
         "indices": list(task.indices),
         "predictions": list(result.predictions),
-        "quarantine": [
-            {"index": q.index, "reason": q.reason, "detail": q.detail}
-            for q in result.quarantine
-        ],
+        "quarantine": [asdict(q) for q in result.quarantine],
         "usage": {
             "prompt_tokens": result.usage.prompt_tokens,
             "completion_tokens": result.usage.completion_tokens,
@@ -129,14 +127,7 @@ def shard_payload(task: ShardTask, result) -> dict:
         "n_fallbacks": result.n_fallbacks,
         "estimated_seconds": result.estimated_seconds,
         "raw_replies": list(result.raw_replies),
-        "exchanges": [
-            {
-                "messages": [[role, content] for role, content in ex.messages],
-                "reply": ex.reply,
-                "n_expected": ex.n_expected,
-            }
-            for ex in result.exchanges
-        ],
+        "exchanges": [ex.payload() for ex in result.exchanges],
         "metrics": (
             observation.metrics.snapshot() if observation is not None else None
         ),
@@ -270,7 +261,7 @@ def run_sharded(
     subprocess anywhere, which keeps the default path debuggable and
     makes it the reference the pool path is diffed against.  ``workers>1``
     fans the same tasks out to a spawn-context process pool; results are
-    collected per task, so scheduling cannot reorder the fold inputs.
+    collected per task, so scheduling cannot reorder the merge inputs.
     ``workdir`` turns on per-shard write-ahead journals
     (``shard-NNNN.journal``) and thereby crash-safe resume.
     """

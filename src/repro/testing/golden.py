@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.core.config import PipelineConfig
 from repro.errors import ReproError
-from repro.obs.manifest import canonical_json
+from repro.obs.manifest import GoldenDiff, canonical_json, diff_payloads
 from repro.testing.replay import parse_outcomes
 
 GOLDEN_VERSION = 1
@@ -400,8 +400,7 @@ def _pipeline_payload(cell_name: str, cell_dict: dict, dataset, run) -> dict:
         # exists so a ladder regression that starts quarantining — or
         # stops — shows up as golden drift, not silently.
         "quarantine": [
-            {"index": q.index, "reason": q.reason, "detail": q.detail}
-            for q in run.result.quarantine
+            dataclasses.asdict(q) for q in run.result.quarantine
         ],
     }
     # One normalization pass so in-memory payloads compare == against
@@ -540,60 +539,6 @@ def capture_snapshot(cell: AnyGoldenCell) -> dict:
         keep_raw=True,
     )
     return _pipeline_payload(cell.name, dataclasses.asdict(cell), dataset, run)
-
-
-@dataclass(frozen=True)
-class GoldenDiff:
-    """One divergence between a stored snapshot and fresh behavior."""
-
-    path: str
-    kind: str        # "changed" | "missing" | "added" | "type"
-    expected: object
-    actual: object
-
-    def render(self) -> str:
-        def clip(value: object) -> str:
-            text = repr(value)
-            return text if len(text) <= 160 else text[:160] + "…"
-        return (
-            f"{self.path} [{self.kind}]\n"
-            f"  golden:  {clip(self.expected)}\n"
-            f"  current: {clip(self.actual)}"
-        )
-
-
-def diff_payloads(expected: object, actual: object, path: str = "$") -> list[GoldenDiff]:
-    """Structured diff of two JSON payloads, one entry per divergent path."""
-    if type(expected) is not type(actual) and not (
-        isinstance(expected, (int, float)) and isinstance(actual, (int, float))
-        and not isinstance(expected, bool) and not isinstance(actual, bool)
-    ):
-        return [GoldenDiff(path, "type", expected, actual)]
-    if isinstance(expected, dict):
-        diffs: list[GoldenDiff] = []
-        for key in sorted(expected.keys() | actual.keys()):
-            sub = f"{path}.{key}"
-            if key not in actual:
-                diffs.append(GoldenDiff(sub, "missing", expected[key], None))
-            elif key not in expected:
-                diffs.append(GoldenDiff(sub, "added", None, actual[key]))
-            else:
-                diffs.extend(diff_payloads(expected[key], actual[key], sub))
-        return diffs
-    if isinstance(expected, list):
-        diffs = []
-        for index in range(max(len(expected), len(actual))):
-            sub = f"{path}[{index}]"
-            if index >= len(actual):
-                diffs.append(GoldenDiff(sub, "missing", expected[index], None))
-            elif index >= len(expected):
-                diffs.append(GoldenDiff(sub, "added", None, actual[index]))
-            else:
-                diffs.extend(diff_payloads(expected[index], actual[index], sub))
-        return diffs
-    if expected != actual:
-        return [GoldenDiff(path, "changed", expected, actual)]
-    return []
 
 
 def render_diffs(name: str, diffs: list[GoldenDiff], limit: int = 25) -> str:

@@ -43,12 +43,6 @@ class TestPipelineConfig:
         assert PipelineConfig().concurrency == 1
         assert PipelineConfig(concurrency=8).concurrency == 8
 
-    def test_with_components(self):
-        config = PipelineConfig().with_components(fewshot=False, batching=False)
-        assert config.fewshot == 0
-        assert config.batch_size == 1
-        assert config.reasoning  # unchanged
-
 
 class TestAblation:
     def test_six_rows_in_paper_order(self):

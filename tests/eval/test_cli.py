@@ -296,6 +296,15 @@ class TestShardCli:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_resume_of_a_missing_directory_exits_2(self, tmp_path, capsys):
+        absent = tmp_path / "nosuchdir"
+        assert main([
+            "run", "--dataset", "beer", "--size", "24", "--workers", "2",
+            "--shards", "2", "--resume", str(absent),
+        ]) == 2
+        assert f"no journal to resume at {absent}" in capsys.readouterr().err
+        assert not absent.exists()
+
     def test_flow_with_workers(self, capsys):
         assert main(["flow", "--reference", "--workers", "2"]) == 0
         parallel = capsys.readouterr().out

@@ -1,58 +1,15 @@
 """Regression tests: cache hits are never double-metered.
 
 A cache hit returns the stored response with ``latency_s`` zeroed, so the
-time ledger and the pipeline's hours column must charge nothing for it —
-the token usage stays visible (callers may want "tokens that would have
-been spent") but wall-clock is what a metered deployment actually waits
-for, and a hit waits for nothing.
+pipeline's hours column must charge nothing for it — the token usage
+stays visible (callers may want "tokens that would have been spent") but
+wall-clock is what a metered deployment actually waits for, and a hit
+waits for nothing.
 """
 
 from repro import PipelineConfig, Preprocessor, SimulatedLLM
 from repro.eval.harness import evaluate_pipeline
-from repro.llm.accounting import UsageLedger
 from repro.llm.cache import CachingClient
-
-
-class TestLedgerDoesNotRechargeCacheHits:
-    def test_cached_response_adds_zero_hours(self, beer_dataset):
-        """Metering the hit through the ledger charges tokens but no time."""
-        cache = CachingClient(SimulatedLLM("gpt-3.5"))
-        ledger = UsageLedger()
-
-        from repro.core.prompts import PromptBuilder
-        from repro.llm.base import CompletionRequest
-
-        builder = PromptBuilder(beer_dataset.task, PipelineConfig())
-        prompt = builder.build(list(beer_dataset.instances[:2]))
-        request = CompletionRequest(
-            messages=prompt.messages, model="gpt-3.5", temperature=0.75
-        )
-        miss = cache.complete(request)
-        hit = cache.complete(request)
-        ledger.record(request, miss)
-        hours_after_miss = ledger.total_hours
-        ledger.record(request, hit)
-
-        assert miss.latency_s > 0
-        assert hit.latency_s == 0.0
-        assert ledger.total_hours == hours_after_miss  # no re-charge
-        assert ledger.total_tokens == 2 * miss.usage.total_tokens
-
-    def test_ledger_entry_for_hit_has_zero_latency(self, beer_dataset):
-        cache = CachingClient(SimulatedLLM("gpt-3.5"))
-
-        from repro.core.prompts import PromptBuilder
-        from repro.llm.base import CompletionRequest
-
-        builder = PromptBuilder(beer_dataset.task, PipelineConfig())
-        prompt = builder.build(list(beer_dataset.instances[:1]))
-        request = CompletionRequest(
-            messages=prompt.messages, model="gpt-3.5", temperature=0.75
-        )
-        cache.complete(request)
-        hit = cache.complete(request)
-        entry = UsageLedger().record(request, hit)
-        assert entry.latency_s == 0.0
 
 
 class TestEvaluationHoursExcludeCacheHits:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro import PipelineConfig, Preprocessor, SimulatedLLM, load_dataset
+from repro.core.executor import ExecutorConfig
 from repro.eval import evaluate_pipeline
 from repro.llm.cache import CachingClient
-from repro.llm.ratelimit import RateLimit, RetryingClient
+from repro.llm.ratelimit import RateLimit
 
 
 class TestEveryTaskEndToEnd:
@@ -36,14 +37,19 @@ class TestEveryTaskEndToEnd:
 
 class TestClientStack:
     def test_pipeline_through_cache_and_ratelimit(self, restaurant_dataset):
-        """The full production stack: retry(ratelimit(cache(simulated)))."""
-        inner = CachingClient(SimulatedLLM("gpt-4"))
-        client = RetryingClient(inner, RateLimit(10_000, 10**8))
+        """The full production stack: the executor's rate limit and
+        retries in front of cache(simulated)."""
+        client = CachingClient(SimulatedLLM("gpt-4"))
         config = PipelineConfig(model="gpt-4")
-        first = Preprocessor(client, config).run(restaurant_dataset)
-        second = Preprocessor(client, config).run(restaurant_dataset)
+        executor_config = ExecutorConfig(rate_limit=RateLimit(10_000, 10**8))
+        first = Preprocessor(client, config, executor_config).run(
+            restaurant_dataset
+        )
+        second = Preprocessor(client, config, executor_config).run(
+            restaurant_dataset
+        )
         assert first.predictions == second.predictions
-        assert inner.hits > 0  # the second run was served from cache
+        assert client.hits > 0  # the second run was served from cache
 
     def test_cached_rerun_costs_no_time(self, restaurant_dataset):
         inner = CachingClient(SimulatedLLM("gpt-4"))

@@ -22,7 +22,7 @@ from repro.llm.accounting import meter_response
 from repro.llm.base import CompletionRequest, CompletionResponse
 from repro.llm.faults import Fault, FaultInjectingClient, fail_first
 from repro.llm.profiles import get_profile
-from repro.llm.ratelimit import RateLimit, RetryingClient, SimulatedClock
+from repro.llm.ratelimit import RateLimit
 
 
 class _FlakyClient:
@@ -125,26 +125,15 @@ class TestPartialReplies:
 
 class TestRateLimitStorm:
     def test_retrying_client_rides_it_out(self, restaurant_dataset):
-        stormy = _StormyLimiter(SimulatedLLM("gpt-4"))
-        client = RetryingClient(
-            stormy, RateLimit(10**6, 10**9), clock=SimulatedClock(),
-            max_retries=3,
-        )
-        # RetryingClient only handles its own limiter; upstream 429s
-        # surface to the pipeline, so wrap manually here.
-        class _Wrapper:
-            def complete(self, request):
-                for __ in range(4):
-                    try:
-                        return client.complete(request)
-                    except RateLimitError:
-                        continue
-                raise RateLimitError(1.0)
-
+        # Every other call is an upstream 429; the executor's retry loop
+        # waits each one out under its own rate limit.
         result = Preprocessor(
-            _Wrapper(), PipelineConfig(model="gpt-4")
+            _StormyLimiter(SimulatedLLM("gpt-4")),
+            PipelineConfig(model="gpt-4"),
+            ExecutorConfig(rate_limit=RateLimit(10**6, 10**9)),
         ).run(restaurant_dataset)
         assert result.n_fallbacks == 0
+        assert result.execution.n_rate_limit_waits > 0
 
 
 class TestWindowShrink:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.llm.accounting import (
-    UsageLedger,
     completion_tokens,
     meter_response,
     request_prompt_tokens,
@@ -34,31 +33,13 @@ class TestMetering:
 
 
 class TestUsageLedger:
-    def test_accumulation(self, request_):
-        profile = get_profile("gpt-3.5")
-        ledger = UsageLedger()
-        for __ in range(3):
-            response = meter_response(profile, request_, "Answer 1: hi")
-            ledger.record(request_, response)
-        assert ledger.n_requests == 3
-        assert ledger.total_tokens == 3 * (
-            request_prompt_tokens(request_) + completion_tokens("Answer 1: hi")
-        )
-        assert ledger.total_cost_usd > 0
-        assert ledger.total_hours > 0
-
-    def test_clear(self, request_):
-        profile = get_profile("gpt-3.5")
-        ledger = UsageLedger()
-        ledger.record(request_, meter_response(profile, request_, "x"))
-        ledger.clear()
-        assert ledger.n_requests == 0
+    """The dollars column of a run's usage (Table 3)."""
 
     def test_cost_uses_model_prices(self, request_):
-        ledger = UsageLedger()
+        cheap, pricey = get_profile("gpt-3.5"), get_profile("gpt-4")
         gpt4_request = CompletionRequest(messages=request_.messages, model="gpt-4")
-        cheap = meter_response(get_profile("gpt-3.5"), request_, "x")
-        pricey = meter_response(get_profile("gpt-4"), gpt4_request, "x")
-        a = ledger.record(request_, cheap)
-        b = ledger.record(gpt4_request, pricey)
-        assert b.cost_usd > a.cost_usd
+        a = meter_response(cheap, request_, "x").usage
+        b = meter_response(pricey, gpt4_request, "x").usage
+        assert pricey.cost_usd(b.prompt_tokens, b.completion_tokens) > (
+            cheap.cost_usd(a.prompt_tokens, a.completion_tokens)
+        )

@@ -3,46 +3,7 @@
 import pytest
 
 from repro.errors import RateLimitError
-from repro.llm.base import ChatMessage, CompletionRequest
-from repro.llm.ratelimit import (
-    LaneClock,
-    RateLimit,
-    RateLimiter,
-    RetryingClient,
-    SimulatedClock,
-)
-from repro.llm.simulated import SimulatedLLM
-
-
-def _request(i=1):
-    return CompletionRequest(
-        messages=(
-            ChatMessage(
-                role="system",
-                content='You are a database engineer.\nYou are requested to '
-                        'infer the value of the "b" attribute based on the '
-                        'values of other attributes.\nMUST answer each '
-                        'question in one line. You ONLY give the value of '
-                        'the "b" attribute.',
-            ),
-            ChatMessage(
-                role="user",
-                content=f'Question 1: Record is [a: "{i}"]. What is the b?',
-            ),
-        ),
-        model="gpt-3.5",
-    )
-
-
-class TestSimulatedClock:
-    def test_advances(self):
-        clock = SimulatedClock()
-        clock.advance(5.0)
-        assert clock.now == 5.0
-
-    def test_no_time_travel(self):
-        with pytest.raises(ValueError):
-            SimulatedClock().advance(-1)
+from repro.llm.ratelimit import LaneClock, RateLimit, RateLimiter
 
 
 class TestLaneClock:
@@ -97,26 +58,22 @@ class TestLaneClock:
 
 class TestRateLimiter:
     def test_request_budget(self):
-        clock = SimulatedClock()
-        limiter = RateLimiter(RateLimit(2, 10_000), clock)
-        limiter.check(10)
-        limiter.check(10)
+        limiter = RateLimiter(RateLimit(2, 10_000))
+        limiter.check(10, now=0.0)
+        limiter.check(10, now=0.0)
         with pytest.raises(RateLimitError):
-            limiter.check(10)
+            limiter.check(10, now=0.0)
 
     def test_token_budget(self):
-        clock = SimulatedClock()
-        limiter = RateLimiter(RateLimit(100, 50), clock)
-        limiter.check(40)
+        limiter = RateLimiter(RateLimit(100, 50))
+        limiter.check(40, now=0.0)
         with pytest.raises(RateLimitError):
-            limiter.check(40)
+            limiter.check(40, now=0.0)
 
     def test_window_slides(self):
-        clock = SimulatedClock()
-        limiter = RateLimiter(RateLimit(1, 10_000), clock)
-        limiter.check(1)
-        clock.advance(61.0)
-        limiter.check(1)  # old event expired
+        limiter = RateLimiter(RateLimit(1, 10_000))
+        limiter.check(1, now=0.0)
+        limiter.check(1, now=61.0)  # old event expired
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,10 +85,6 @@ class TestRateLimiter:
         with pytest.raises(RateLimitError):
             limiter.check(1, now=30.0)
         limiter.check(1, now=61.0)
-
-    def test_needs_clock_or_now(self):
-        with pytest.raises(ValueError):
-            RateLimiter(RateLimit(1, 10)).check(1)
 
     def test_budget_shared_across_lane_times(self):
         # Two lanes at different virtual times share one window: the
@@ -158,31 +111,3 @@ class TestRateLimiter:
         # The lagging lane still sees the t=10 event in its window.
         with pytest.raises(RateLimitError):
             limiter.check(1, now=20.0, floor=15.0)
-
-
-class TestRetryingClient:
-    def test_waits_out_rate_limit(self):
-        client = RetryingClient(
-            SimulatedLLM("gpt-3.5"), RateLimit(1, 10_000)
-        )
-        client.complete(_request(1))
-        before = client.clock.now
-        client.complete(_request(2))  # forced to wait ~60s of virtual time
-        assert client.clock.now - before >= 59.0
-        assert client.n_rate_limit_hits >= 1
-
-    def test_clock_tracks_latency(self):
-        client = RetryingClient(
-            SimulatedLLM("gpt-3.5"), RateLimit(100, 10**7)
-        )
-        response = client.complete(_request())
-        assert client.clock.now == pytest.approx(response.latency_s)
-
-    def test_exhausted_retries_raise(self):
-        clock = SimulatedClock()
-        client = RetryingClient(
-            SimulatedLLM("gpt-3.5"), RateLimit(1, 10), clock=clock,
-            max_retries=0,
-        )
-        with pytest.raises(RateLimitError):
-            client.complete(_request())  # needs more tokens than the budget

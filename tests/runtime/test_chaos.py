@@ -8,7 +8,13 @@ mid-sentence.
 
 import pytest
 
-from repro.llm.backend import SimulatedBackend
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import Preprocessor
+from repro.datasets import load_dataset
+from repro.llm.backend import CachingBackend, SimulatedBackend
+from repro.llm.cache import CachingClient
+from repro.llm.faults import DegradedClient
+from repro.llm.simulated import SimulatedLLM
 from repro.resilience import blackout_plan, brownout_plan, degraded_pool
 from repro.runtime.chaos import (
     CRASH_SITES,
@@ -130,6 +136,32 @@ class TestCrashTrials:
         trial = run_crash_trial(cell, "mid_batch", tmp_path)
         ok_text = trial.render()
         assert "OK" in ok_text
+
+
+class TestCacheInTheStack:
+    """A response cache must not hide the wrapped client's resume state or
+    its simulated clock."""
+
+    @pytest.mark.parametrize("site", CRASH_SITES)
+    def test_cached_cell_resumes_bit_identical(self, site, tmp_path):
+        cell = ChaosCell(
+            "em_beer_cache", dataset="beer", size=24,
+            backend=CachingBackend(SimulatedBackend()),
+        )
+        trial = run_crash_trial(cell, site, tmp_path)
+        assert trial.ok, trial.render()
+
+    def test_cache_forwards_the_clock_to_a_degraded_client(self):
+        dataset = load_dataset("adult", size=60)
+        config = PipelineConfig(degradation="ladder")
+
+        def blackouts(wrap) -> int:
+            degraded = DegradedClient(SimulatedLLM(), BLACKOUT)
+            Preprocessor(wrap(degraded), config).run(dataset)
+            return degraded.n_blackouts
+
+        assert blackouts(lambda client: client) == 5
+        assert blackouts(CachingClient) == 5
 
 
 class TestMatrixDriver:

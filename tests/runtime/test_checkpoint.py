@@ -20,7 +20,7 @@ from repro.llm.faults import Fault, FaultInjectingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.runtime.chaos import result_payload
 from repro.runtime.checkpoint import CheckpointSession, JournalChaos, RunCheckpoint
-from repro.runtime.journal import ResumeMismatchError, RunJournal
+from repro.runtime.journal import JournalError, ResumeMismatchError, RunJournal
 from repro.testing.golden import diff_payloads
 
 
@@ -270,6 +270,36 @@ class TestCrashResume:
                 checkpoint=RunCheckpoint(path),
             )
         assert any("seed" in line for line in excinfo.value.diff)
+
+    def test_resume_refuses_a_different_client_seed(self, tmp_path):
+        dataset = load_dataset("adult", size=60)
+        path = tmp_path / "run.journal"
+        baseline = evaluate_pipeline(
+            _client(seed=0), _config(), dataset, keep_raw=True,
+        )
+        with pytest.raises(InjectedCrashError):
+            evaluate_pipeline(
+                _client(seed=0), _config(), dataset, keep_raw=True,
+                checkpoint=RunCheckpoint(
+                    path, chaos=JournalChaos("pre_journal", at_seq=2)
+                ),
+            )
+        journaled = path.read_bytes()
+        with pytest.raises(JournalError) as excinfo:
+            evaluate_pipeline(
+                _client(seed=1), _config(), dataset, keep_raw=True,
+                checkpoint=RunCheckpoint(path),
+            )
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "seed 0" in message and "seed 1" in message
+        assert path.read_bytes() == journaled
+        resumed = evaluate_pipeline(
+            _client(seed=0), _config(), dataset, keep_raw=True,
+            checkpoint=RunCheckpoint(path),
+        )
+        diffs = diff_payloads(result_payload(baseline), result_payload(resumed))
+        assert not diffs, "\n".join(d.render() for d in diffs)
 
     def test_resume_refuses_different_data(self, tmp_path):
         config = _config()

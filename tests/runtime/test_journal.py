@@ -21,8 +21,8 @@ from repro.runtime.journal import (
     BatchRecord,
     JournalError,
     JournalHeader,
+    ResumeMismatchError,
     RunJournal,
-    context_diff,
     run_fingerprint,
 )
 
@@ -99,13 +99,15 @@ class TestRoundTrip:
         assert run_fingerprint(changed) != base
 
     def test_context_diff_names_divergent_paths(self):
-        diff = context_diff(
+        diff = ResumeMismatchError(
+            "run.journal",
             {"a": 1, "b": {"c": [1, 2]}},
             {"a": 2, "b": {"c": [1, 3]}, "d": True},
-        )
+        ).diff
         assert "$.a: 1 != 2" in diff
         assert "$.b.c[1]: 2 != 3" in diff
         assert any(line.startswith("$.d:") for line in diff)
+        assert "$.d: <absent> != True" in diff
 
 
 class TestCorruption:

@@ -1,9 +1,9 @@
-"""The merge fold: associative, commutative, and loudly unforgiving."""
+"""The shard merge: keyed by shard id, order-blind, loudly unforgiving."""
 
 import pytest
 
 from repro.errors import ShardError
-from repro.shard import combine, delta_of, empty_delta, finalize, merge_shards
+from repro.shard import merge_shards
 from repro.shard.merge import SPAN_STRIDE, _merge_metrics, _rebase_spans
 from repro.shard.plan import ShardPlan, ShardSpec
 
@@ -46,19 +46,10 @@ def _payload(shard_id: int, indices: tuple[int, ...], *, seconds=1.0,
 
 
 class TestCombine:
-    def test_identity_associativity_commutativity(self):
-        a = delta_of(_payload(0, (0, 2)))
-        b = delta_of(_payload(1, (1,)))
-        c = delta_of(_payload(2, (3,)))
-        assert combine(empty_delta(), a) == a
-        assert combine(a, empty_delta()) == a
-        assert combine(combine(a, b), c) == combine(a, combine(b, c))
-        assert combine(a, b) == combine(b, a)
-
     def test_overlapping_shards_refuse_to_combine(self):
-        a = delta_of(_payload(0, (0,)))
+        plan = _plan({0: (0,)}, 1)
         with pytest.raises(ShardError, match="exactly once"):
-            combine(a, delta_of(_payload(0, (0,))))
+            merge_shards(plan, [_payload(0, (0,)), _payload(0, (0,))])
 
 
 class TestFinalize:

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.config import PipelineConfig
+from repro.core.contextualize import instances_digest
 from repro.datasets import load_dataset
 from repro.errors import ShardError
 from repro.shard import (
     config_fingerprint,
-    dataset_digest,
     default_shard_count,
     plan_shards,
     shard_of,
@@ -49,7 +49,9 @@ class TestPlanShards:
 
     def test_plan_is_sealed_to_dataset_and_config(self, dataset, config):
         plan = plan_shards(dataset, config, 3)
-        assert plan.digest == dataset_digest(dataset)
+        assert plan.digest == instances_digest(
+            dataset.instances, dataset.fewshot_pool
+        )
         assert plan.fingerprint == config_fingerprint(config)
 
         other_data = load_dataset("adult", size=60, seed=1)
