@@ -447,6 +447,15 @@ class BatchExecutor:
         self._stats.n_fallback_splits += n_subbatches
         self._count("executor.fallback_splits", n_subbatches)
 
+    def record_cache_traffic(self, hits: int, misses: int) -> None:
+        """Add response-cache traffic the client saw during one batch.
+
+        Kept current batch by batch, so the journal's report state
+        carries it and a resumed run adds only its own batches' traffic.
+        """
+        self._stats.n_cache_hits += hits
+        self._stats.n_cache_misses += misses
+
     def checkpoint_state(self) -> dict:
         """Every piece of mutable executor state, as plain JSON-ready data.
 

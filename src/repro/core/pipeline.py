@@ -390,10 +390,9 @@ class Preprocessor:
                 dataset=dataset.name, model=config.model,
                 concurrency=config.concurrency, n_instances=len(instances),
             )
-        # Cache traffic is surfaced per run: snapshot the client's counters
-        # (if it has any) so the report carries this run's delta only.
-        cache_hits_before = getattr(self._client, "hits", None)
-        cache_misses_before = getattr(self._client, "misses", None)
+        # Cache traffic is surfaced per run: the report adds the client's
+        # counter deltas (if it has counters) after every executed batch.
+        cache_seen = self._cache_traffic()
         executor = BatchExecutor(self._client, self._executor_config, obs=obs)
         # One prep cache per run: serialize/embed/cluster each instance
         # set once, shared by batching and prompt assembly.
@@ -430,6 +429,12 @@ class Preprocessor:
                     dataset.task, stats, executor, ready_at=0.0,
                     obs=obs, parent=run_span,
                 )
+                if cache_seen is not None:
+                    hits, misses = cache_seen
+                    cache_seen = self._cache_traffic()
+                    executor.record_cache_traffic(
+                        cache_seen[0] - hits, cache_seen[1] - misses
+                    )
                 unit_quarantine: list[dict] = []
                 unit_predictions: list[bool | str | None] = []
                 for index, prediction in zip(unit.indices, batch_predictions):
@@ -463,9 +468,6 @@ class Preprocessor:
         assert not any(p is _PENDING for p in predictions)
         quarantine.sort(key=lambda entry: entry.index)
         report = executor.report()
-        if isinstance(cache_hits_before, int) and isinstance(cache_misses_before, int):
-            report.n_cache_hits = self._client.hits - cache_hits_before
-            report.n_cache_misses = self._client.misses - cache_misses_before
         if obs is not None:
             if report.n_cache_hits or report.n_cache_misses:
                 obs.metrics.gauge("cache.hit_rate").set(report.cache_hit_rate)
@@ -486,6 +488,14 @@ class Preprocessor:
             observation=obs,
             prep=prep.stats,
         )
+
+    def _cache_traffic(self) -> tuple[int, int] | None:
+        """The client's response-cache ``(hits, misses)``, if it counts them."""
+        hits = getattr(self._client, "hits", None)
+        misses = getattr(self._client, "misses", None)
+        if isinstance(hits, int) and isinstance(misses, int):
+            return hits, misses
+        return None
 
     def _plan_units(
         self,

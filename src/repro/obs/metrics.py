@@ -118,6 +118,10 @@ class MetricsRegistry:
     One name maps to exactly one metric kind; asking for an existing name
     with a different kind (or different histogram bounds) raises
     :class:`MetricsError` rather than silently splitting the series.
+
+    A lookup is one dict probe: the kind check runs only when a name is
+    created, and since it keeps every name in exactly one table, a name
+    found in its own table cannot also be another kind.
     """
 
     def __init__(self) -> None:
@@ -126,21 +130,22 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        self._check_kind(name, "counter")
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            self._check_kind(name, "counter")
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def gauge(self, name: str) -> Gauge:
-        self._check_kind(name, "gauge")
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
+        gauge = self._gauges.get(name)
+        if gauge is None:
+            self._check_kind(name, "gauge")
+            gauge = self._gauges[name] = Gauge(name)
+        return gauge
 
     def histogram(
         self, name: str, buckets: tuple[float, ...] = DEFAULT_BUCKETS
     ) -> Histogram:
-        self._check_kind(name, "histogram")
         existing = self._histograms.get(name)
         if existing is not None:
             if existing.bounds != tuple(buckets):
@@ -149,8 +154,10 @@ class MetricsRegistry:
                     f"{existing.bounds}, got {tuple(buckets)}"
                 )
             return existing
-        histogram = Histogram(name, bounds=tuple(buckets))
-        self._histograms[name] = histogram
+        self._check_kind(name, "histogram")
+        histogram = self._histograms[name] = Histogram(
+            name, bounds=tuple(buckets)
+        )
         return histogram
 
     def _check_kind(self, name: str, kind: str) -> None:

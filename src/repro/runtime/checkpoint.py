@@ -6,10 +6,10 @@ opens around a run:
 - **fresh run** — writes the sealed header and then appends one
   :class:`~repro.runtime.journal.BatchRecord` after every completed batch
   (fsync'd, so a kill between batches loses nothing);
-- **resume** — recovers the journal's valid prefix (truncating any torn
-  tail a crash left), refuses with a structured context diff when the
-  header fingerprint does not match the resuming run, and hands the
-  pipeline the journaled records to replay.
+- **resume** — recovers the journal's valid prefix (the first append
+  cuts any torn tail a crash left), refuses with a structured context
+  diff when the header fingerprint does not match the resuming run, and
+  hands the pipeline the journaled records to replay.
 
 The state captured per record is *cumulative* — executor lanes/RNG/rate
 window, client call counters, run stats, metrics, tracer id counter — so

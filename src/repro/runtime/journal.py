@@ -33,10 +33,11 @@ Corruption handling is *typed and recoverable*: a truncated tail, a
 flipped byte, a duplicated record, or an out-of-order record each raise
 :class:`JournalError` naming the line and reason, while the error object
 carries every valid record before the damage — resume uses that prefix
-and truncates the tail, so completed work survives even a corrupted
-journal.  A header whose fingerprint does not match the run being resumed
-raises :class:`ResumeMismatchError` with a structured path-level diff of
-the two contexts.
+and its first append cuts the tail, so completed work survives even a
+corrupted journal, and a refused resume leaves the file as it found it.
+A header whose fingerprint does not match the run being resumed raises
+:class:`ResumeMismatchError` with a structured path-level diff of the two
+contexts.
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ class RunJournal:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._handle = None
+        #: where a reopened journal's valid prefix ends; the first append
+        #: cuts any torn tail there
+        self._valid_bytes: int | None = None
 
     # -- writing ----------------------------------------------------------
 
@@ -250,11 +254,15 @@ class RunJournal:
         self._write(_dump_line(header.to_payload()))
 
     def reopen(self, valid_bytes: int) -> None:
-        """Reopen an existing journal for appending, truncating any torn
-        tail past ``valid_bytes`` first."""
+        """Reopen an existing journal for appending after ``valid_bytes``.
+
+        A torn tail past ``valid_bytes`` is cut by the first append, not
+        here: a resume the caller refuses after reopening (say, a client
+        that cannot take the journaled state) leaves the file untouched.
+        """
         self._handle = open(self.path, "r+b")
-        self._handle.truncate(valid_bytes)
         self._handle.seek(valid_bytes)
+        self._valid_bytes = valid_bytes
 
     def append(self, record: BatchRecord, crash: str | None = None) -> None:
         """Durably append one batch record.
@@ -266,6 +274,9 @@ class RunJournal:
         """
         if self._handle is None:
             raise JournalError("journal is not open for writing", path=self.path)
+        if self._valid_bytes is not None:
+            self._handle.truncate(self._valid_bytes)
+            self._valid_bytes = None
         from repro.errors import InjectedCrashError
 
         if crash == "pre_journal":
@@ -395,11 +406,11 @@ def open_journal(
     """Create the journal at ``path`` for ``context``, or resume it.
 
     A missing or empty file gets a sealed header for ``context``.  An
-    existing journal is recovered — the valid prefix is kept, a torn tail
-    is truncated — and its fingerprint must match ``context``'s, else
-    :class:`ResumeMismatchError` reports the divergent paths and the file
-    is not touched.  Returns the journal open for appending, its header,
-    and the replayable records.
+    existing journal is recovered — the valid prefix is kept, and a torn
+    tail is cut by the first append — and its fingerprint must match
+    ``context``'s, else :class:`ResumeMismatchError` reports the divergent
+    paths.  Opening never changes the file.  Returns the journal open for
+    appending, its header, and the replayable records.
     """
     path = Path(path)
     fingerprint = run_fingerprint(context)

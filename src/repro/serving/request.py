@@ -11,6 +11,7 @@ served + rejected, nothing dropped silently).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.data.instances import Instance
 
@@ -41,8 +42,7 @@ class ServeRequest:
     instance: Instance
 
 
-@dataclass(frozen=True)
-class ServeResponse:
+class ServeResponse(NamedTuple):
     """One answered request.
 
     ``flushed_s`` is when the arrival-clock scheduler released the
@@ -54,6 +54,13 @@ class ServeResponse:
     the answer (``None`` for cache hits); ``quarantine_reason`` is set
     when the degradation ladder gave up on the question (the prediction
     is then ``None``).
+
+    A ``NamedTuple``, not a frozen dataclass: the service builds one per
+    served request — nearly every arrival — and a tuple is built in one
+    step where a frozen dataclass pays one ``object.__setattr__`` per
+    field.  It is just as immutable; it also equals the plain tuple of
+    its fields, and ``_replace``/``_asdict`` stand in for the
+    ``dataclasses`` helpers.
     """
 
     request_id: int

@@ -202,17 +202,7 @@ class ServeReport:
             "config": self.config,
             "summary": self.summary(),
             "responses": [
-                {
-                    "request_id": r.request_id,
-                    "tenant": r.tenant,
-                    "arrival_s": r.arrival_s,
-                    "prediction": r.prediction,
-                    "source": r.source,
-                    "flushed_s": r.flushed_s,
-                    "completed_s": r.completed_s,
-                    "batch_seq": r.batch_seq,
-                    "quarantine_reason": r.quarantine_reason,
-                }
+                r._asdict()
                 for r in sorted(self.responses, key=lambda r: r.request_id)
             ],
             "rejections": [
@@ -401,6 +391,10 @@ class PreprocessingService:
         rejections: list[RejectedRequest] = []
         batches: list[dict] = []
         usage_before = self._stats.usage
+        if trace:
+            # Bound once per call (a trace that asks nothing creates no
+            # counter); still incremented once per arrival below.
+            n_requests = self.metrics.counter("serving.requests")
 
         for request in trace:
             if request.arrival_s < self._last_arrival:
@@ -416,7 +410,7 @@ class PreprocessingService:
                     f"{request.instance.task.name} instance; this service "
                     f"serves {self._dataset.task.name}"
                 )
-            self.metrics.counter("serving.requests").inc()
+            n_requests.inc()
             for flush in self._coalescer.due(request.arrival_s):
                 self._execute_flush(flush, responses, batches)
             self._admit(request, responses, rejections, batches)

@@ -110,14 +110,26 @@ class TestHistogramQuantile:
         assert histogram.quantile(1.0) == 8.0
 
 
+KINDS = ("counter", "gauge", "histogram")
+
+
 class TestRegistry:
-    def test_kind_collision_raises(self):
+    # Lookups skip the kind check once a name exists, so every ordered
+    # pair must still refuse the second kind when it would be created.
+    @pytest.mark.parametrize(
+        "first, second",
+        [(a, b) for a in KINDS for b in KINDS if a != b],
+    )
+    def test_kind_collision_raises(self, first, second):
         registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(MetricsError):
-            registry.gauge("x")
-        with pytest.raises(MetricsError):
-            registry.histogram("x")
+        metric = getattr(registry, first)("x")
+        with pytest.raises(MetricsError, match=f"already a {first}"):
+            getattr(registry, second)("x")
+        assert getattr(registry, first)("x") is metric
+        snapshot = registry.snapshot()
+        assert [kind for kind in KINDS if "x" in snapshot[kind + "s"]] == [
+            first
+        ]
 
     def test_snapshot_is_sorted_and_json_ready(self):
         import json

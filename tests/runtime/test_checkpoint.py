@@ -16,6 +16,7 @@ from repro.datasets import load_dataset
 from repro.errors import InjectedCrashError
 from repro.eval.harness import evaluate_pipeline
 from repro.llm.base import Usage
+from repro.llm.cache import CachingClient
 from repro.llm.faults import Fault, FaultInjectingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.runtime.chaos import result_payload
@@ -271,7 +272,8 @@ class TestCrashResume:
             )
         assert any("seed" in line for line in excinfo.value.diff)
 
-    def test_resume_refuses_a_different_client_seed(self, tmp_path):
+    @pytest.mark.parametrize("site", ["pre_journal", "mid_journal"])
+    def test_resume_refuses_a_different_client_seed(self, tmp_path, site):
         dataset = load_dataset("adult", size=60)
         path = tmp_path / "run.journal"
         baseline = evaluate_pipeline(
@@ -281,9 +283,11 @@ class TestCrashResume:
             evaluate_pipeline(
                 _client(seed=0), _config(), dataset, keep_raw=True,
                 checkpoint=RunCheckpoint(
-                    path, chaos=JournalChaos("pre_journal", at_seq=2)
+                    path, chaos=JournalChaos(site, at_seq=2)
                 ),
             )
+        # A refused resume leaves the file as the crash left it, torn
+        # tail included.
         journaled = path.read_bytes()
         with pytest.raises(JournalError) as excinfo:
             evaluate_pipeline(
@@ -296,6 +300,38 @@ class TestCrashResume:
         assert path.read_bytes() == journaled
         resumed = evaluate_pipeline(
             _client(seed=0), _config(), dataset, keep_raw=True,
+            checkpoint=RunCheckpoint(path),
+        )
+        diffs = diff_payloads(result_payload(baseline), result_payload(resumed))
+        assert not diffs, "\n".join(d.render() for d in diffs)
+
+    @pytest.mark.parametrize(
+        "name, size", [("beer", 24), ("adult", 60), ("restaurant", 40)]
+    )
+    def test_resume_keeps_cache_traffic_from_before_the_crash(
+        self, tmp_path, name, size
+    ):
+        dataset = load_dataset(name, size=size)
+        path = tmp_path / "run.journal"
+
+        def caching_client():
+            return CachingClient(_client())
+
+        baseline = evaluate_pipeline(
+            caching_client(), _config(), dataset, keep_raw=True,
+        )
+        assert baseline.execution.n_cache_misses > 0
+        try:
+            evaluate_pipeline(
+                caching_client(), _config(), dataset, keep_raw=True,
+                checkpoint=RunCheckpoint(
+                    path, chaos=JournalChaos("pre_journal", at_seq=2)
+                ),
+            )
+        except InjectedCrashError:
+            pass  # beer plans two batches: its journal completes
+        resumed = evaluate_pipeline(
+            caching_client(), _config(), dataset, keep_raw=True,
             checkpoint=RunCheckpoint(path),
         )
         diffs = diff_payloads(result_payload(baseline), result_payload(resumed))

@@ -6,6 +6,8 @@ deterministic ordering of simultaneous flushes, and the drain semantics.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServingError
 from repro.serving import (
@@ -129,3 +131,78 @@ def test_tie_break_without_waiters_is_sentinel():
     entry = _entry("k", 0.0)
     entry.waiters.clear()
     assert entry.tie_break == -1
+
+
+#: one step of a coalescer workload: start a question (target, arrival,
+#: max wait), ask what is due at a time, or drain
+_STEPS = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.sampled_from(["a", "b", "c", None]),
+        st.integers(0, 12),
+        st.integers(0, 4),
+    ),
+    st.tuples(st.just("due"), st.integers(0, 20)),
+    st.tuples(st.just("drain")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["eager", "window"]),
+    max_batch=st.integers(1, 4),
+    steps=st.lists(_STEPS, max_size=40),
+)
+def test_due_matches_a_model_of_every_group(mode, max_batch, steps):
+    """Against a plain model of the groups, ``due(now)`` releases exactly
+    the groups whose head deadline is <= ``now``, whole, in (deadline,
+    first request id) order — whatever the deadline watermark skipped."""
+    coalescer = BatchCoalescer(CoalescePolicy(max_batch=max_batch, mode=mode))
+    model: dict = {}  # target -> entries, in arrival order
+    next_id = 0
+
+    def release(target):
+        entries = tuple(model.pop(target))
+        return (entries[0].deadline_s, target, entries)
+
+    def seen(flushes):
+        return [(f.at, f.target, f.entries) for f in flushes]
+
+    for step in steps:
+        if step[0] == "add":
+            __, target, arrival, wait = step
+            entry = _entry(
+                f"k{next_id}", float(arrival), target=target,
+                max_wait=float(wait), request_id=next_id,
+            )
+            next_id += 1
+            model.setdefault(target, []).append(entry)
+            flush = coalescer.add(entry)
+            if mode == "eager" and len(model[target]) >= max_batch:
+                assert flush is not None and flush.reason == "full"
+                assert (flush.target, flush.entries) == (
+                    target, tuple(model.pop(target))
+                )
+                assert flush.at == entry.arrival_s
+            else:
+                assert flush is None
+        elif step[0] == "due":
+            now = float(step[1])
+            ripe = sorted(
+                (group[0].deadline_s, group[0].tie_break, target)
+                for target, group in model.items()
+                if group[0].deadline_s <= now
+            )
+            flushes = coalescer.due(now)
+            assert all(f.reason == "deadline" for f in flushes)
+            assert seen(flushes) == [release(t) for __, __, t in ripe]
+        else:
+            order = sorted(
+                (group[0].deadline_s, group[0].tie_break, target)
+                for target, group in model.items()
+            )
+            assert seen(coalescer.drain()) == [
+                release(t) for __, __, t in order
+            ]
+        assert coalescer.n_pending == sum(len(g) for g in model.values())
+

@@ -4,7 +4,7 @@ eviction metering, and the report surface."""
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import ServeConfig, ServeRequest
+from repro.serving import ServeConfig, ServeRequest, ServeResponse
 from tests.serving.conftest import generous_budgets
 
 #: one flush per unique question, answer cache of exactly one entry
@@ -154,3 +154,20 @@ class TestReportSurface:
         assert report.latency_quantile(1.0) == pytest.approx(latencies[-1])
         mid = report.latency_quantile(0.5)
         assert latencies[0] <= mid <= latencies[-1]
+
+
+class TestServeResponse:
+    def test_fields_cannot_be_assigned(self):
+        response = ServeResponse(1, "t", 2.0, True, "llm", 3.0, 5.5)
+        with pytest.raises(AttributeError):
+            response.prediction = False
+        assert response == (1, "t", 2.0, True, "llm", 3.0, 5.5, None, None)
+
+    def test_latency_and_wait_read_the_virtual_clock(self):
+        response = ServeResponse(
+            request_id=1, tenant="t", arrival_s=2.0, prediction=True,
+            source="shared", flushed_s=3.0, completed_s=5.5, batch_seq=4,
+        )
+        assert response.wait_s == 1.0
+        assert response.latency_s == 3.5
+        assert response._replace(completed_s=2.5).latency_s == 0.5
