@@ -1,4 +1,5 @@
-"""Data-prep kernel scaling — scalar vs vectorized embedding path.
+"""Data-prep kernel scaling — scalar vs vectorized embedding path, and
+dynamic-programming vs bit-parallel edit distance.
 
 Times ``HashingEmbedder.embed_all`` (the vectorized kernel behind cluster
 batching) against ``embed_all_reference`` (the row-by-row reference) on
@@ -7,31 +8,51 @@ matrices, and requires the vectorized path to be at least
 ``MIN_SPEEDUP_AT_10K``x faster at the largest size.  The k-means
 convergence exit is timed on the resulting matrix as a secondary row.
 
+The Levenshtein row times the bit-parallel ``levenshtein`` (behind the
+error-detection solver's typo check, the lexicon's near-word check and
+Magellan's edit-distance feature) against ``levenshtein_reference``, the
+two-row dynamic program, on every pair of values within each
+error-detection knowledge domain and on a fixed random corpus with
+strings over 64 characters.  The two must agree on every pair, and at
+full size the bit-parallel kernel must be ``MIN_LEVENSHTEIN_SPEEDUP``x
+faster.
+
 Writes ``BENCH_dataprep.json`` (machine-readable: per-size wall times,
-speedups, hash-cache occupancy, k-means iteration counts) for CI artifact
-upload.  Environment knobs:
+speedups, hash-cache occupancy, k-means iteration counts, and the
+``levenshtein`` row) for CI artifact upload.  Environment knobs:
 
 - ``REPRO_DATAPREP_SIZES`` — comma-separated corpus sizes
   (default ``100,1000,10000``).  CI's smoke job sets ``100``; the speedup
-  floor is only asserted when a size >= 10000 is included, because the
-  vectorized path's fixed setup cost dominates tiny inputs.
+  floors are only asserted when a size >= 10000 is included, because the
+  vectorized path's fixed setup cost dominates tiny inputs.  The
+  Levenshtein row's random corpus has ``min(largest size,
+  LEVENSHTEIN_RANDOM_PAIRS)`` pairs.
 - ``REPRO_DATAPREP_OUT`` — output path (default ``BENCH_dataprep.json``).
 """
 
 import json
 import os
+import random
+import string
 import time
 
 import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.eval.reporting import render_table
+from repro.llm.knowledge import KnowledgeBase
 from repro.ml.kmeans import KMeans
-from repro.testing.reference import embed_all_reference
+from repro.testing.reference import embed_all_reference, levenshtein_reference
 from repro.text.embeddings import HashingEmbedder, clear_hash_cache, hash_cache_size
+from repro.text.similarity import levenshtein
 
 #: required scalar/vectorized wall-clock ratio at the 10k corpus
 MIN_SPEEDUP_AT_10K = 5.0
+
+#: required dynamic-program/bit-parallel wall-clock ratio at full size
+MIN_LEVENSHTEIN_SPEEDUP = 3.0
+#: random pairs in the Levenshtein row at full size
+LEVENSHTEIN_RANDOM_PAIRS = 2_000
 
 DEFAULT_SIZES = (100, 1_000, 10_000)
 
@@ -40,6 +61,10 @@ _WORDS = (
     "double imperial session hazy crisp malty hoppy citrus pine resin "
     "san diego portland denver chicago boston austin seattle tampa"
 ).split()
+
+
+def _out_path():
+    return os.environ.get("REPRO_DATAPREP_OUT", "BENCH_dataprep.json")
 
 
 def _sizes():
@@ -161,7 +186,7 @@ def test_vectorized_kernels_scale(benchmark, seed):
         rows,
     ))
 
-    out_path = os.environ.get("REPRO_DATAPREP_OUT", "BENCH_dataprep.json")
+    out_path = _out_path()
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     print(f"wrote {out_path}")
@@ -180,3 +205,109 @@ def test_vectorized_kernels_scale(benchmark, seed):
             f"vectorized embed_all only {speedup:.1f}x faster than scalar "
             f"at n={n}; floor is {MIN_SPEEDUP_AT_10K}x"
         )
+
+
+def _domain_pairs():
+    """Every ordered pair of values within each error-detection domain."""
+    pairs = []
+    for domain in KnowledgeBase._domain_tables().values():
+        values = sorted(domain)
+        pairs.extend((a, b) for a in values for b in values)
+    return pairs
+
+
+def _random_pairs(n, seed):
+    """A fixed corpus: near pairs (a few edits apart) and unrelated ones,
+    a fifth of them longer than one 64-bit word."""
+    rng = random.Random(f"levenshtein:{seed}")
+    alphabet = string.ascii_lowercase + " -'é"
+    pairs = []
+    for index in range(n):
+        size = rng.randint(65, 140) if index % 5 == 0 else rng.randint(0, 24)
+        a = "".join(rng.choice(alphabet) for __ in range(size))
+        if index % 2:
+            b = list(a)
+            for __ in range(rng.randint(0, 4)):
+                at = rng.randint(0, len(b))
+                edit = rng.choice(("insert", "delete", "substitute"))
+                if edit == "insert" or not b:
+                    b.insert(at, rng.choice(alphabet))
+                elif edit == "delete":
+                    del b[min(at, len(b) - 1)]
+                else:
+                    b[min(at, len(b) - 1)] = rng.choice(alphabet)
+            b = "".join(b)
+        else:
+            b = "".join(
+                rng.choice(alphabet) for __ in range(rng.randint(0, size + 8))
+            )
+        pairs.append((a, b))
+    return pairs
+
+
+def _time_kernel(kernel, pairs):
+    started = time.perf_counter()
+    distances = [kernel(a, b) for a, b in pairs]
+    return distances, time.perf_counter() - started
+
+
+def _levenshtein_row(n_random, seed):
+    row = {}
+    for name, pairs in (
+        ("domains", _domain_pairs()),
+        ("random", _random_pairs(n_random, seed)),
+    ):
+        _time_kernel(levenshtein, pairs[:32])  # warm both paths
+        _time_kernel(levenshtein_reference, pairs[:32])
+        fast, fast_s = _time_kernel(levenshtein, pairs)
+        slow, slow_s = _time_kernel(levenshtein_reference, pairs)
+        row[name] = {
+            "pairs": len(pairs),
+            "longest": max(max(len(a), len(b)) for a, b in pairs),
+            "dp_s": slow_s,
+            "bit_parallel_s": fast_s,
+            "speedup": slow_s / fast_s,
+            "mismatches": sum(x != y for x, y in zip(fast, slow)),
+        }
+    return row
+
+
+def test_levenshtein_kernel(benchmark, seed):
+    sizes = _sizes()
+    n_random = min(max(sizes), LEVENSHTEIN_RANDOM_PAIRS)
+    row = run_once(benchmark, _levenshtein_row, n_random, seed)
+
+    print()
+    print(render_table(
+        "Data-prep kernels — dynamic-program vs bit-parallel levenshtein",
+        ["corpus", "pairs", "longest", "dp ms", "bit-parallel ms", "speedup"],
+        [
+            [name, str(cell["pairs"]), str(cell["longest"]),
+             f"{cell['dp_s'] * 1e3:.1f}", f"{cell['bit_parallel_s'] * 1e3:.1f}",
+             f"{cell['speedup']:.1f}x"]
+            for name, cell in row.items()
+        ],
+    ))
+    out_path = _out_path()
+    payload = {}
+    if os.path.exists(out_path):
+        with open(out_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    payload["levenshtein"] = {
+        **row, "min_speedup": MIN_LEVENSHTEIN_SPEEDUP, "random_pairs": n_random,
+    }
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+    print(f"wrote the levenshtein row to {out_path}")
+
+    assert row["random"]["longest"] > 64
+    for cell in row.values():
+        # The optimization contract: faster, not different.
+        assert cell["mismatches"] == 0
+    if max(sizes) >= 10_000:
+        for name, cell in row.items():
+            assert cell["speedup"] >= MIN_LEVENSHTEIN_SPEEDUP, (
+                f"bit-parallel levenshtein only {cell['speedup']:.1f}x faster "
+                f"than the dynamic program on the {name} pairs; floor is "
+                f"{MIN_LEVENSHTEIN_SPEEDUP}x"
+            )

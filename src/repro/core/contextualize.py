@@ -27,41 +27,95 @@ from repro.data.instances import (
 from repro.data.records import Record
 from repro.data.schema import Attribute
 from repro.errors import PromptError
+from repro.text.tokenize import count_part, count_tokens
 
 MISSING_TOKEN = "???"
+
+#: token counts of a bracketed field list's punctuation
+_BRACKETS_TOKENS = count_tokens("[]")
+_SEPARATOR_TOKENS = count_tokens(", ")
+
+
+def _record_fields(record: Record) -> list[str]:
+    return [
+        f"{name}: {MISSING_TOKEN}" if value is None else f'{name}: "{value}"'
+        for name, value in record
+    ]
+
+
+def _attribute_fields(attribute: Attribute) -> list[str]:
+    return [
+        f'name: "{attribute.name}"',
+        f'description: "{attribute.description}"',
+    ]
+
+
+def _bracketed(fields: list[str]) -> str:
+    return "[" + ", ".join(fields) + "]"
+
+
+def _bracketed_tokens(fields: list[str]) -> int:
+    """``count_tokens(_bracketed(fields))``, summed over its parts.
+
+    A field starts after ``[`` or a space and ends in ``"`` or ``?``, so
+    each field is a token-safe part (:func:`~repro.text.tokenize.count_part`)
+    whatever its value holds.
+    """
+    return (
+        _BRACKETS_TOKENS
+        + _SEPARATOR_TOKENS * max(len(fields) - 1, 0)
+        + sum(map(count_part, fields))
+    )
+
+
+def _sides(instance: Instance) -> tuple[tuple[str, list[str]], ...]:
+    """The instance as (lead, fields) pairs; its text is each lead followed
+    by its bracketed fields."""
+    if isinstance(instance, (EDInstance, DIInstance)):
+        return (("", _record_fields(instance.record)),)
+    if isinstance(instance, EMInstance):
+        return (
+            ("Record A is ", _record_fields(instance.pair.left)),
+            (". Record B is ", _record_fields(instance.pair.right)),
+        )
+    if isinstance(instance, SMInstance):
+        return (
+            ("Attribute A is ", _attribute_fields(instance.pair.left)),
+            (". Attribute B is ", _attribute_fields(instance.pair.right)),
+        )
+    raise PromptError(f"cannot serialize instance type {type(instance).__name__}")
 
 
 def serialize_record(record: Record) -> str:
     """Render a record as ``[a: "1", b: ???, ...]``."""
-    parts = []
-    for name, value in record:
-        if value is None:
-            parts.append(f"{name}: {MISSING_TOKEN}")
-        else:
-            parts.append(f'{name}: "{value}"')
-    return "[" + ", ".join(parts) + "]"
+    return _bracketed(_record_fields(record))
 
 
 def serialize_attribute(attribute: Attribute) -> str:
     """Render an SM attribute as ``[name: "...", description: "..."]``."""
-    return (
-        f'[name: "{attribute.name}", description: "{attribute.description}"]'
-    )
+    return _bracketed(_attribute_fields(attribute))
 
 
 def serialize_instance(instance: Instance) -> str:
     """Render any task's data instance as the prompt text fragment."""
-    if isinstance(instance, (EDInstance, DIInstance)):
-        return serialize_record(instance.record)
-    if isinstance(instance, EMInstance):
-        left = serialize_record(instance.pair.left)
-        right = serialize_record(instance.pair.right)
-        return f"Record A is {left}. Record B is {right}"
-    if isinstance(instance, SMInstance):
-        left = serialize_attribute(instance.pair.left)
-        right = serialize_attribute(instance.pair.right)
-        return f"Attribute A is {left}. Attribute B is {right}"
-    raise PromptError(f"cannot serialize instance type {type(instance).__name__}")
+    return "".join(lead + _bracketed(fields) for lead, fields in _sides(instance))
+
+
+def serialize_counted(instance: Instance) -> tuple[str, int]:
+    """:func:`serialize_instance` and the text's token count.
+
+    The count equals ``count_tokens(text)`` but is summed over the text's
+    token-safe parts: each field through the bounded
+    :func:`~repro.text.tokenize.count_part` memo, plus the brackets,
+    commas and pair leads.  Fields repeat across a dataset's records, so
+    most of them are counted once per process.
+    """
+    sides = _sides(instance)
+    text = "".join(lead + _bracketed(fields) for lead, fields in sides)
+    tokens = sum(
+        count_part(lead) + _bracketed_tokens(fields) for lead, fields in sides
+    )
+    return text, tokens
 
 
 def instances_digest(
@@ -101,14 +155,10 @@ def parse_serialized_record(text: str) -> dict[str, str | None]:
     end = text.rfind("]")
     if start == -1 or end == -1 or end <= start:
         raise PromptError(f"no [..] record found in: {text[:120]!r}")
-    inner = text[start + 1 : end]
-    fields: dict[str, str | None] = {}
-    for match in _FIELD_RE.finditer(inner):
-        name = match.group("name").strip()
-        if match.group("missing") is not None:
-            fields[name] = None
-        else:
-            fields[name] = match.group("value")
+    fields: dict[str, str | None] = {
+        name.strip(): None if missing else value
+        for name, value, missing in _FIELD_RE.findall(text, start + 1, end)
+    }
     if not fields:
         raise PromptError(f"no fields parsed from: {text[:120]!r}")
     return fields

@@ -8,7 +8,9 @@ labels.  Before this layer each consumer recomputed them independently
 object owns the whole chain and memoizes every stage:
 
 - **texts** are memoized per instance object (identity-keyed; the
-  artifacts object pins the instances it has seen so ids stay unique);
+  artifacts object pins the instances it has seen so ids stay unique),
+  each with its token count, which prompt assembly carries to the
+  request so the question block is never re-tokenized;
 - **embedding matrices** are memoized by ``(dataset fingerprint,
   embedder dim, embedder ngram)`` where the fingerprint is a blake2b
   digest over the serialized texts;
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.contextualize import serialize_instance
+from repro.core.contextualize import serialize_counted
 from repro.data.instances import Instance
 from repro.ml.kmeans import KMeans
 from repro.text.embeddings import HashingEmbedder
@@ -95,11 +97,13 @@ class PrepArtifacts:
         self._metrics = metrics
         self._max_texts = max_texts
         self.stats = PrepStats()
-        # id -> (instance, text); holding the instance pins its id.  With
-        # ``max_texts`` set the dict becomes a bounded LRU (insertion /
-        # touch order), so a long-lived artifacts object — the serving
-        # layer keeps one across runs — cannot grow without bound.
-        self._texts: OrderedDict[int, tuple[Instance, str]] = OrderedDict()
+        # id -> (instance, (text, token count)); holding the instance pins
+        # its id.  With ``max_texts`` set the dict becomes a bounded LRU
+        # (insertion / touch order), so a long-lived artifacts object — the
+        # serving layer keeps one across runs — cannot grow without bound.
+        self._texts: OrderedDict[int, tuple[Instance, tuple[str, int]]] = (
+            OrderedDict()
+        )
         self._matrices: dict[tuple[str, int, int], np.ndarray] = {}
         self._labels: dict[tuple[str, int, int, int, int], np.ndarray] = {}
         self._fingerprints: dict[tuple[int, ...], str] = {}
@@ -122,6 +126,14 @@ class PrepArtifacts:
 
     def text_of(self, instance: Instance) -> str:
         """The serialized prompt text of ``instance``, memoized."""
+        return self.counted_of(instance)[0]
+
+    def counted_of(self, instance: Instance) -> tuple[str, int]:
+        """:meth:`text_of` and the text's token count, memoized together.
+
+        The count is summed from the text's parts when the text is made
+        (:func:`~repro.core.contextualize.serialize_counted`).
+        """
         key = id(instance)
         cached = self._texts.get(key)
         if cached is not None:
@@ -131,16 +143,16 @@ class PrepArtifacts:
                 self._texts.move_to_end(key)
             return cached[1]
         started = time.perf_counter()
-        text = serialize_instance(instance)
+        counted = serialize_counted(instance)
         self.stats.serialize_wall_s += time.perf_counter() - started
         self.stats.serialize_misses += 1
         self._count("prep.serialize.misses")
-        self._texts[key] = (instance, text)
+        self._texts[key] = (instance, counted)
         if self._max_texts is not None and len(self._texts) > self._max_texts:
             self._texts.popitem(last=False)
             self.stats.serialize_evictions += 1
             self._count("prep.serialize.evictions")
-        return text
+        return counted
 
     def texts(self, instances: Sequence[Instance]) -> list[str]:
         """Serialized texts for ``instances``, each computed at most once."""

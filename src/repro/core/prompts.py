@@ -16,16 +16,18 @@ question when batch prompting is off.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from repro.core.config import PipelineConfig
+from repro.core.contextualize import serialize_counted
 from repro.core.fewshot import render_examples
 from repro.core.prep import PrepArtifacts
 from repro.core.tasks import (
     ED_CONFIRM_TARGET,
     ROLE_INSTRUCTION,
     answer_format_instruction,
-    question_text,
+    question_line,
     target_attribute_of,
     task_text,
 )
@@ -51,6 +53,16 @@ class PromptBuilder:
     question block reuses the run's memoized instance serializations —
     context-window splits re-ask the same instances, which would otherwise
     re-serialize them per attempt.
+
+    Each question line's token count is summed from parts already counted
+    (:func:`~repro.core.tasks.question_line`, over the serialized
+    instance's count kept in ``artifacts`` beside its text), and the
+    question message carries the line counts
+    (:meth:`ChatMessage.with_line_tokens`), so the block is never
+    re-tokenized.  A block whose serialized text holds a line break leaves
+    its lines to be counted as a whole.  The few-shot (user, assistant)
+    turns of the last example list are kept rendered; every caller hands a
+    builder one list, so they are rendered once.
     """
 
     def __init__(self, task: Task, config: PipelineConfig,
@@ -61,6 +73,12 @@ class PromptBuilder:
         self._target_attribute = target_attribute
         self._artifacts = artifacts
         self._system_text = self._build_system_text()
+        self._system = ChatMessage(role="system", content=self._system_text)
+        # the last (examples, user turn, assistant turn) rendered; holding
+        # the examples pins their ids
+        self._fewshot: tuple[
+            tuple[Instance, ...], ChatMessage, ChatMessage
+        ] | None = None
 
     def _build_system_text(self) -> str:
         text = task_text(self._task, self._target_attribute)
@@ -80,6 +98,25 @@ class PromptBuilder:
     @property
     def system_text(self) -> str:
         return self._system_text
+
+    def _fewshot_turns(
+        self, examples: list[Instance]
+    ) -> tuple[ChatMessage, ChatMessage]:
+        cached = self._fewshot
+        if (
+            cached is None
+            or len(cached[0]) != len(examples)
+            or not all(map(operator.is_, cached[0], examples))
+        ):
+            user_text, assistant_text = render_examples(
+                examples, reasoning=self._config.reasoning
+            )
+            cached = self._fewshot = (
+                tuple(examples),
+                ChatMessage(role="user", content=user_text),
+                ChatMessage(role="assistant", content=assistant_text),
+            )
+        return cached[1], cached[2]
 
     def build(
         self,
@@ -103,24 +140,25 @@ class PromptBuilder:
                     f"instance targets {target_attribute_of(instance)!r} but "
                     f"builder targets {self._target_attribute!r}"
                 )
-        messages: list[ChatMessage] = [
-            ChatMessage(role="system", content=self._system_text)
-        ]
+        messages = [self._system]
         if fewshot_examples:
-            user_text, assistant_text = render_examples(
-                fewshot_examples, reasoning=self._config.reasoning
-            )
-            messages.append(ChatMessage(role="user", content=user_text))
-            messages.append(ChatMessage(role="assistant", content=assistant_text))
-        text_of = self._artifacts.text_of if self._artifacts else None
-        questions = "\n".join(
-            question_text(
-                instance, number,
-                serialized=text_of(instance) if text_of else None,
-            )
-            for number, instance in enumerate(batch, start=1)
+            messages.extend(self._fewshot_turns(fewshot_examples))
+        counted_of = (
+            self._artifacts.counted_of if self._artifacts else serialize_counted
         )
-        messages.append(ChatMessage(role="user", content=questions))
+        lines: list[str] = []
+        counts: list[int] = []
+        for number, instance in enumerate(batch, start=1):
+            line, tokens = question_line(instance, number, *counted_of(instance))
+            lines.append(line)
+            counts.append(tokens)
+        questions = "\n".join(lines)
+        if len(questions.splitlines()) == len(lines):
+            messages.append(ChatMessage.with_line_tokens(
+                "user", questions, tuple(counts)
+            ))
+        else:  # a line break inside a question: count the lines as they are
+            messages.append(ChatMessage(role="user", content=questions))
         return BuiltPrompt(
             messages=tuple(messages),
             expected_answers=len(batch),

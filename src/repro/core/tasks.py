@@ -19,6 +19,7 @@ from repro.data.instances import (
 )
 from repro.core.contextualize import serialize_instance
 from repro.errors import PromptError
+from repro.text.tokenize import count_part
 
 #: the paper's role instruction, always the first line of the system prompt
 ROLE_INSTRUCTION = "You are a database engineer."
@@ -159,28 +160,40 @@ def answer_format_instruction(
     )
 
 
-def question_text(
-    instance: Instance, number: int, serialized: str | None = None
-) -> str:
-    """One numbered question, e.g. ``Question 3: Record is [...]. What is
-    the city?``
-
-    ``serialized`` is an optional precomputed ``serialize_instance``
-    rendering of ``instance`` (from a shared
-    :class:`~repro.core.prep.PrepArtifacts`), so prompt assembly reuses
-    the text the batching layer already produced instead of re-serializing.
-    """
-    text = serialized if serialized is not None else serialize_instance(instance)
+def _question_frame(instance: Instance, number: int) -> tuple[str, str]:
+    """The text before and after the serialized instance in question
+    ``number``."""
     if isinstance(instance, (EDInstance, DIInstance)):
-        body = f"Record is {text}."
+        head = f"Question {number}: Record is "
     elif isinstance(instance, (EMInstance, SMInstance)):
-        body = f"{text}."
+        head = f"Question {number}: "
     else:
         raise PromptError(f"unknown instance type {type(instance).__name__}")
     suffix = task_text(
         instance.task, getattr(instance, "target_attribute", None)
     ).question_suffix
-    return f"Question {number}: {body} {suffix}"
+    return head, f". {suffix}"
+
+
+def question_text(instance: Instance, number: int) -> str:
+    """One numbered question, e.g. ``Question 3: Record is [...]. What is
+    the city?``"""
+    head, tail = _question_frame(instance, number)
+    return head + serialize_instance(instance) + tail
+
+
+def question_line(
+    instance: Instance, number: int, text: str, tokens: int
+) -> tuple[str, int]:
+    """:func:`question_text` over ``text``, the instance already serialized
+    (``tokens`` is its token count), and the line's token count.
+
+    The head before ``text`` ends in a space and the tail after it starts
+    with ``.``, so the line's count is the sum of the three parts' counts
+    (:func:`~repro.text.tokenize.count_part`); no part is tokenized again.
+    """
+    head, tail = _question_frame(instance, number)
+    return head + text + tail, count_part(head) + tokens + count_part(tail)
 
 
 def target_attribute_of(instance: Instance) -> str | None:

@@ -67,7 +67,10 @@ class Schema:
     """An ordered collection of uniquely named attributes.
 
     Supports lookup by name or position and projection onto a subset of
-    attributes (used by feature selection).
+    attributes (used by feature selection).  Name lookups go through a
+    name -> attribute index built once in ``__post_init__``; the index is
+    not a dataclass field, so equality, hashing, ``asdict`` and
+    ``replace`` see only ``name`` and ``attributes``.
     """
 
     name: str
@@ -76,13 +79,19 @@ class Schema:
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("schema name must be non-empty")
-        seen: set[str] = set()
+        index: dict[str, Attribute] = {}
         for attr in self.attributes:
-            if attr.name in seen:
+            if attr.name in index:
                 raise SchemaError(
                     f"duplicate attribute {attr.name!r} in schema {self.name!r}"
                 )
-            seen.add(attr.name)
+            index[attr.name] = attr
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_names", tuple(index))
+
+    def __reduce__(self):
+        # Pickle the fields only; unpickling rebuilds the index.
+        return (type(self), (self.name, self.attributes))
 
     @classmethod
     def from_names(
@@ -104,7 +113,7 @@ class Schema:
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
+        return self._names
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -115,7 +124,10 @@ class Schema:
     def __contains__(self, name: object) -> bool:
         if isinstance(name, Attribute):
             name = name.name
-        return name in self.attribute_names
+        try:
+            return name in self._index
+        except TypeError:  # unhashable: no attribute has that name
+            return False
 
     def __getitem__(self, key: str | int) -> Attribute:
         if isinstance(key, int):
@@ -126,17 +138,21 @@ class Schema:
                     f"attribute index {key} out of range for schema {self.name!r} "
                     f"with {len(self)} attributes"
                 ) from None
-        for attr in self.attributes:
-            if attr.name == key:
-                return attr
-        raise SchemaError(f"schema {self.name!r} has no attribute {key!r}")
+        try:
+            return self._index[key]
+        except (KeyError, TypeError):
+            raise SchemaError(
+                f"schema {self.name!r} has no attribute {key!r}"
+            ) from None
 
     def index_of(self, name: str) -> int:
         """Position of attribute ``name`` in this schema."""
-        for i, attr in enumerate(self.attributes):
-            if attr.name == name:
-                return i
-        raise SchemaError(f"schema {self.name!r} has no attribute {name!r}")
+        try:
+            return self._names.index(name)
+        except ValueError:
+            raise SchemaError(
+                f"schema {self.name!r} has no attribute {name!r}"
+            ) from None
 
     def project(self, names: list[str] | tuple[str, ...]) -> Schema:
         """Return a new schema restricted to ``names``, preserving their order.

@@ -30,13 +30,31 @@ class ChatMessage:
                 f"invalid role {self.role!r}; expected one of {_VALID_ROLES}"
             )
 
+    @classmethod
+    def with_line_tokens(
+        cls, role: str, content: str, line_tokens: tuple[int, ...]
+    ) -> "ChatMessage":
+        """A message that carries its :attr:`line_tokens` from its builder.
+
+        ``line_tokens`` must equal ``count_lines(content)``: the prompt
+        builder sums each question line from counts it already holds.
+        The counts are not a field, so equality, hashing and
+        ``dataclasses.replace`` see only role and content, and a message
+        made by ``replace`` counts its own content.
+        """
+        message = cls(role, content)
+        message.__dict__["line_tokens"] = line_tokens
+        return message
+
     @cached_property
     def line_tokens(self) -> tuple[int, ...]:
         """Token count of each line of ``content``, counted once.
 
         They sum to the content's token count.  A request's final message
         (the question block) is counted this way, so one pass gives the
-        request its total and each question its own length.
+        request its total and each question its own length.  The prompt
+        builder's question blocks carry them already
+        (:meth:`with_line_tokens`).
         """
         return count_lines(self.content)
 

@@ -297,10 +297,19 @@ def _counted_questions(message: ChatMessage, task: Task) -> list[ParsedQuestion]
 
     A question's count is its line's count (:attr:`ChatMessage.line_tokens`,
     the pass that counted the request) minus its ``Question N:`` prefix:
-    no token spans the colon that ends the prefix.
+    no token spans the colon that ends the prefix.  Raises
+    :class:`LLMError` when the message carries a count for more or fewer
+    lines than it has.
     """
+    lines = message.content.splitlines()
+    counts = message.line_tokens
+    if len(counts) != len(lines):
+        raise LLMError(
+            f"{message.role} message carries {len(counts)} line token "
+            f"counts for {len(lines)} lines: {message.content[:80]!r}"
+        )
     questions = []
-    for line, tokens in zip(message.content.splitlines(), message.line_tokens):
+    for line, tokens in zip(lines, counts):
         match = _QUESTION_RE.match(line)
         if match:
             start = match.start(2)

@@ -312,6 +312,10 @@ def _nearest_distance(value: str, domain: frozenset[str]) -> int | None:
     Cached (bounded, least recently used evicted first): a pure function
     of its arguments, and the same near-miss values recur across a run.
     """
+    if value in domain:
+        # Else the scan below could stop at a distance-1 member before
+        # reaching ``value`` itself: the answer would hang on set order.
+        return 0
     best: int | None = None
     for member in domain:
         if abs(len(member) - len(value)) > 2:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Counter, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,13 @@ class ServingCache:
         self._max_entries = max_entries
         self._metrics = metrics
         self._answers: OrderedDict[str, CachedAnswer] = OrderedDict()
+        # Bound on first use: a cache that never hits (or evicts)
+        # registers no counter, and a hit costs no lookup by name.
+        self._hits: "Counter | None" = None
+        self._evictions: "Counter | None" = None
 
     def __len__(self) -> int:
         return len(self._answers)
-
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(name).inc()
 
     def get(self, key: str) -> CachedAnswer | None:
         """The completed answer for ``key``, touching its LRU position.
@@ -80,7 +80,10 @@ class ServingCache:
         if answer is None:
             return None
         self._answers.move_to_end(key)
-        self._count("serving.cache.hits")
+        if self._metrics is not None:
+            if self._hits is None:
+                self._hits = self._metrics.counter("serving.cache.hits")
+            self._hits.inc()
         return answer
 
     def put(self, key: str, answer: CachedAnswer) -> None:
@@ -94,4 +97,9 @@ class ServingCache:
             and len(self._answers) > self._max_entries
         ):
             self._answers.popitem(last=False)
-            self._count("serving.cache.evictions")
+            if self._metrics is not None:
+                if self._evictions is None:
+                    self._evictions = self._metrics.counter(
+                        "serving.cache.evictions"
+                    )
+                self._evictions.inc()

@@ -33,7 +33,7 @@ from repro.core.executor import BatchExecutor, ExecutorConfig
 from repro.core.pipeline import Preprocessor, Quarantined, RunStats
 from repro.core.prep import PrepArtifacts
 from repro.core.prompts import PromptBuilder
-from repro.core.tasks import question_text, target_attribute_of
+from repro.core.tasks import question_line, target_attribute_of
 from repro.data.instances import Instance, PreprocessingDataset
 from repro.errors import ServingError
 from repro.llm.base import LLMClient, Usage
@@ -56,7 +56,6 @@ from repro.serving.tenants import (
     TenantAdmission,
     TenantBudget,
 )
-from repro.text.tokenize import count_tokens
 
 
 @dataclass(frozen=True)
@@ -348,11 +347,9 @@ class PreprocessingService:
         """Admission-time token estimate: the question text itself."""
         tokens = self._question_tokens.get(key)
         if tokens is None:
-            tokens = count_tokens(
-                question_text(
-                    instance, 1, serialized=self._prep.text_of(instance)
-                )
-            )
+            tokens = question_line(
+                instance, 1, *self._prep.counted_of(instance)
+            )[1]
             self._question_tokens[key] = tokens
         return tokens
 

@@ -32,6 +32,8 @@ two side by side over :func:`build_decode_requests`.
 :func:`embed_all_reference` is the row-by-row oracle for
 :meth:`~repro.text.embeddings.HashingEmbedder.embed_all`: it embeds one
 text at a time through :meth:`~repro.text.embeddings.HashingEmbedder.embed`.
+:func:`levenshtein_reference` is the two-row dynamic program that the
+bit-parallel :func:`~repro.text.similarity.levenshtein` must equal.
 """
 
 from __future__ import annotations
@@ -231,3 +233,32 @@ def embed_all_reference(
     if not rows:
         return np.zeros((0, embedder.dim), dtype=np.float64)
     return np.vstack(rows)
+
+
+def levenshtein_reference(a: str, b: str) -> int:
+    """Edit distance by the two-row dynamic program; ``levenshtein``'s oracle.
+
+    O(len(a) * len(b)) time, O(min(len(a), len(b))) space.
+    """
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(
+                min(
+                    previous[j] + 1,  # deletion
+                    current[j - 1] + 1,  # insertion
+                    previous[j - 1] + cost,  # substitution
+                )
+            )
+        previous = current
+    return previous[-1]

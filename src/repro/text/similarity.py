@@ -18,30 +18,49 @@ from repro.text.normalize import normalize_text
 def levenshtein(a: str, b: str) -> int:
     """Edit distance with unit insert/delete/substitute costs.
 
-    Uses the two-row dynamic program: O(len(a) * len(b)) time, O(len(b)) space.
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 formulation for the global
+    distance): the shorter string's DP column lives in the bits of two
+    integers (``vp``/``vn``: where the column steps up or down by one)
+    and each character of the longer string advances the whole column in
+    a fixed number of integer operations, so the cost is O(len(a)) big-int
+    steps instead of O(len(a) * len(b)) cell updates.  Python integers
+    are unbounded, so strings longer than a machine word need no blocks.
+    The two-row dynamic program it replaces is kept as the oracle,
+    :func:`repro.testing.reference.levenshtein_reference`.
     """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(
-                    previous[j] + 1,  # deletion
-                    current[j - 1] + 1,  # insertion
-                    previous[j - 1] + cost,  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    # match masks of the shorter string: bit i set where b[i] == char
+    masks: dict[str, int] = {}
+    bit = 1
+    for char in b:
+        masks[char] = masks.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    vp, vn = full, 0
+    distance = len(b)
+    # Per character: d0 marks the column cells whose diagonal step is 0,
+    # hp/hn the rows where the step from the previous column is +1/-1;
+    # the bottom row's step moves ``distance``.
+    for char in a:
+        eq = masks.get(char, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & full
+        vn = hp & d0 & full
+    return distance
 
 
 def levenshtein_similarity(a: str, b: str) -> float:

@@ -52,6 +52,33 @@ class TestRoundtrip:
             parse_serialized_record("[]")
 
 
+class TestParseEdgeCases:
+    def test_empty_quoted_value_is_an_empty_string(self):
+        assert parse_serialized_record('[a: "", b: "x"]') == {"a": "", "b": "x"}
+
+    def test_question_marks_are_missing(self):
+        assert parse_serialized_record("[a: ???, b: ???]") == {
+            "a": None, "b": None,
+        }
+
+    def test_escaped_quote_is_kept_verbatim(self):
+        fields = parse_serialized_record(r'[a: "say \"hi\"", b: "2"]')
+        assert fields == {"a": r'say \"hi\"', "b": "2"}
+
+    def test_repeated_name_is_last_wins_in_first_position(self):
+        fields = parse_serialized_record('[a: "1", b: "2", a: "3"]')
+        assert fields == {"a": "3", "b": "2"}
+        assert list(fields) == ["a", "b"]
+
+    def test_surrounding_text_and_padding_are_tolerated(self):
+        text = 'Question 9: Record is [ name :  "x" ,age: ???]. Is it?'
+        assert parse_serialized_record(text) == {"name": "x", "age": None}
+
+    def test_only_the_outermost_brackets_bound_the_record(self):
+        text = 'lead [a: "[1]", b: "c]d"] tail'
+        assert parse_serialized_record(text) == {"a": "[1]", "b": "c]d"}
+
+
 class TestPairSerialization:
     def test_em_instance(self, alice):
         inst = EMInstance(pair=RecordPair(alice, alice.copy()), label=True)

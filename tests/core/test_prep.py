@@ -25,6 +25,22 @@ class TestSerializationMemo:
         assert PrepArtifacts().text_of(instance) == serialize_instance(instance)
 
 
+class TestTokenCounts:
+    def test_count_is_kept_beside_the_text(self, amazon_google_dataset):
+        from repro.core.contextualize import serialize_instance
+        from repro.text.tokenize import count_tokens
+
+        instances = list(amazon_google_dataset.instances)[:20]
+        prep = PrepArtifacts()
+        for instance in instances:
+            text, tokens = prep.counted_of(instance)
+            assert text == serialize_instance(instance)
+            assert tokens == count_tokens(text)
+            assert prep.text_of(instance) is text
+        # one memo: each text is made once, then read back as a hit
+        assert prep.stats.serialize_misses == len(instances)
+        assert prep.stats.serialize_hits == len(instances)
+
 class TestEmbeddingMemo:
     def test_matrix_computed_once(self, amazon_google_dataset):
         instances = list(amazon_google_dataset.instances)

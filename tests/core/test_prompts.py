@@ -56,6 +56,27 @@ class TestPromptBuilder:
         assert roles == ["system", "user", "assistant", "user"]
         assert prompt.expected_answers == 2
 
+    def test_fewshot_block_rendered_once_per_example_list(
+        self, restaurant_dataset
+    ):
+        builder = PromptBuilder(
+            Task.DATA_IMPUTATION, PipelineConfig(), target_attribute="city"
+        )
+        examples = restaurant_dataset.sample_fewshot(3)
+        batch = list(restaurant_dataset.instances[:2])
+        first = builder.build(batch, fewshot_examples=examples)
+        again = builder.build(batch[1:], fewshot_examples=list(examples))
+        assert first.messages[1] is again.messages[1]
+        assert first.messages[2] is again.messages[2]
+        fresh = PromptBuilder(
+            Task.DATA_IMPUTATION, PipelineConfig(), target_attribute="city"
+        ).build(batch, fewshot_examples=examples)
+        assert fresh.messages == first.messages
+        other = builder.build(batch, fewshot_examples=examples[:2])
+        assert other.messages[1] != first.messages[1]
+        back = builder.build(batch, fewshot_examples=examples)
+        assert back.messages == first.messages
+
     def test_no_fewshot_three_messages(self, restaurant_dataset):
         builder = PromptBuilder(
             Task.DATA_IMPUTATION, PipelineConfig(), target_attribute="city"

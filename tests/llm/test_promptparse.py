@@ -137,3 +137,32 @@ class TestMalformedPrompts:
         )
         with pytest.raises(LLMError):
             parse_prompt(request)
+
+
+class TestCarriedLineCounts:
+    def test_builder_questions_carry_their_line_counts(self, adult_dataset):
+        instances = adult_dataset.instances[:4]
+        target = instances[0].target_attribute
+        batch = [i for i in adult_dataset.instances if i.target_attribute == target][:4]
+        prompt = PromptBuilder(
+            Task.ERROR_DETECTION, PipelineConfig(), target_attribute=target
+        ).build(batch)
+        message = prompt.messages[-1]
+        assert "line_tokens" in vars(message)  # carried, not recounted
+        parsed = parse_prompt(_request(prompt))
+        assert len(parsed.questions) == len(batch)
+
+    def test_counts_one_short_raise_naming_the_message(self, adult_dataset):
+        target = adult_dataset.instances[0].target_attribute
+        batch = [i for i in adult_dataset.instances if i.target_attribute == target][:3]
+        prompt = PromptBuilder(
+            Task.ERROR_DETECTION, PipelineConfig(), target_attribute=target
+        ).build(batch)
+        *shared, questions = prompt.messages
+        short = ChatMessage.with_line_tokens(
+            "user", questions.content, questions.line_tokens[:-1]
+        )
+        request = CompletionRequest(messages=(*shared, short), model="gpt-3.5")
+        with pytest.raises(LLMError, match=r"user message carries 2 line token "
+                                           r"counts for 3 lines: 'Question 1"):
+            parse_prompt(request)

@@ -7,12 +7,25 @@ count equals a full recount of its transcript, and line-by-line counting
 adds up to counting the whole block.
 """
 
+import dataclasses
 import os
 import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import PipelineConfig
+from repro.core.prep import PrepArtifacts
+from repro.core.prompts import PromptBuilder
+from repro.data.instances import (
+    DIInstance,
+    EDInstance,
+    EMInstance,
+    SMInstance,
+    Task,
+)
+from repro.data.records import AttributePair, Record, RecordPair
+from repro.data.schema import Attribute, Schema
 from repro.llm.base import ChatMessage, CompletionRequest
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.promptparse import parse_prompt
@@ -131,3 +144,82 @@ class TestCarriedCounts:
         assert len(parsed.questions) == len(questions)
         for question in parsed.questions:
             assert question.tokens == count_tokens(question.raw)
+
+
+#: cell values that stress the token-safe splits: apostrophes at word
+#: edges, quotes, the missing marker, non-ASCII text and line breaks
+tricky_cells = st.one_of(
+    st.none(),
+    st.sampled_from([
+        "", "???", "don't", "'", "o'", "'s", "it's 5", '"', 'say "hi"',
+        "é'x", "naïve café", "a\nb", "x\r\ny", "p\u2028q", "r\x85s", "12'", "''",
+    ]),
+    st.text(max_size=12),
+)
+field_names = st.text(
+    alphabet=string.ascii_lowercase + "'é ", min_size=1, max_size=6
+).filter(str.strip)
+
+
+@st.composite
+def batches(draw):
+    """A task and a batch of its instances, ED/DI sharing one target."""
+    task = draw(st.sampled_from(list(Task)))
+    names = draw(st.lists(field_names, min_size=1, max_size=4, unique=True))
+    schema = Schema.from_names("t", names)
+    target = draw(st.sampled_from(names))
+
+    def record():
+        return Record(schema, {name: draw(tricky_cells) for name in names})
+
+    def attribute():
+        return Attribute(draw(field_names), description=draw(st.text(max_size=10)))
+
+    def instance():
+        if task is Task.ERROR_DETECTION:
+            return EDInstance(record(), target, label=draw(st.booleans()))
+        if task is Task.DATA_IMPUTATION:
+            return DIInstance(record().with_missing(target), target, "v")
+        if task is Task.ENTITY_MATCHING:
+            return EMInstance(RecordPair(record(), record()), draw(st.booleans()))
+        return SMInstance(AttributePair(attribute(), attribute()), draw(st.booleans()))
+
+    batch = [instance() for __ in range(draw(st.integers(1, 4)))]
+    fewshot = [instance() for __ in range(draw(st.integers(0, 2)))]
+    has_target = task in (Task.ERROR_DETECTION, Task.DATA_IMPUTATION)
+    return task, (target if has_target else None), batch, fewshot
+
+
+class TestBuilderCarriedCounts:
+    @given(batches())
+    @settings(max_examples=150, deadline=None)
+    def test_carried_question_counts_equal_count_lines(self, drawn):
+        task, target, batch, fewshot = drawn
+        for artifacts in (None, PrepArtifacts(), PrepArtifacts(max_texts=1)):
+            builder = PromptBuilder(
+                task, PipelineConfig(), target_attribute=target,
+                artifacts=artifacts,
+            )
+            prompt = builder.build(batch, fewshot_examples=fewshot or None)
+            message = prompt.messages[-1]
+            one_line_each = len(message.content.splitlines()) == len(batch)
+            # carried unless a line break splits a question (the fallback)
+            assert ("line_tokens" in vars(message)) == one_line_each
+            assert message.line_tokens == count_lines(message.content)
+            request = CompletionRequest(messages=prompt.messages, model="gpt-3.5")
+            assert request.prompt_tokens == count_message_tokens(
+                request.transcript
+            )
+
+    @given(batches(), st.text(max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_replace_recounts_the_new_content(self, drawn, extra):
+        task, target, batch, __ = drawn
+        prompt = PromptBuilder(
+            task, PipelineConfig(), target_attribute=target
+        ).build(batch)
+        message = prompt.messages[-1]
+        replaced = dataclasses.replace(message, content=message.content + extra)
+        assert "line_tokens" not in vars(replaced)
+        assert replaced.line_tokens == count_lines(replaced.content)
+        assert replaced == ChatMessage(role="user", content=message.content + extra)

@@ -5,6 +5,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.testing.reference import levenshtein_reference
 from repro.text.normalize import normalize_text, strip_accents
 from repro.text.phonetic import soundex
 from repro.text.similarity import (
@@ -15,10 +16,17 @@ from repro.text.similarity import (
     ngrams,
     token_set_ratio,
 )
-from repro.text.tokenize import count_tokens
+from repro.text.tokenize import count_part, count_tokens
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=0, max_size=12)
 texts = st.text(min_size=0, max_size=60)
+#: any unicode, from empty to well past one 64-bit word of the bit vector
+long_texts = st.text(min_size=0, max_size=150)
+#: texts dense in word edges: apostrophes, letters, digits, punctuation
+word_edges = st.text(alphabet="ab7'\" ,.:[]?é\n", max_size=14)
+_WORD_CHARS = set(string.ascii_letters + string.digits + "'")
+#: a small alphabet, so long strings share many characters
+long_words = st.text(alphabet="abcé ", min_size=0, max_size=150)
 
 
 class TestLevenshteinProperties:
@@ -43,6 +51,22 @@ class TestLevenshteinProperties:
     @given(words, words)
     def test_similarity_in_unit_interval(self, a, b):
         assert 0.0 <= levenshtein_similarity(a, b) <= 1.0
+
+    @given(long_texts, long_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_parallel_equals_the_dp_oracle(self, a, b):
+        assert levenshtein(a, b) == levenshtein_reference(a, b)
+
+    @given(long_words, long_words)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_parallel_equals_the_dp_oracle_on_near_strings(self, a, b):
+        assert levenshtein(a, b) == levenshtein_reference(a, b)
+
+    @given(long_words, st.integers(0, 149), st.sampled_from("xé"))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_parallel_equals_the_dp_oracle_on_one_edit(self, a, at, char):
+        b = a[:at] + char + a[at + 1:]  # a substitution, or an append
+        assert levenshtein(a, b) == levenshtein_reference(a, b) <= 1
 
 
 class TestJaroWinklerProperties:
@@ -103,6 +127,15 @@ class TestTokenizeProperties:
         # the larger part alone.
         combined = count_tokens(f"{a} {b}")
         assert combined >= max(count_tokens(a), count_tokens(b))
+
+    @given(word_edges, word_edges)
+    @settings(max_examples=300)
+    def test_counts_add_over_a_token_safe_split(self, a, b):
+        # Safe: the character on one side is not a letter, digit or "'".
+        if a and b and a[-1] in _WORD_CHARS and b[0] in _WORD_CHARS:
+            return
+        assert count_tokens(a + b) == count_tokens(a) + count_tokens(b)
+        assert count_part(a) + count_part(b) == count_tokens(a + b)
 
 
 class TestNgramProperties:

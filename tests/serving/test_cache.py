@@ -71,6 +71,27 @@ class TestServingCache:
         assert counters["serving.cache.evictions"] == 1
         assert "serving.cache.misses" not in counters
 
+    def test_no_counter_exists_before_the_first_hit_or_eviction(self):
+        metrics = MetricsRegistry()
+        cache = ServingCache(max_entries=2, metrics=metrics)
+        cache.put("a", _answer(1))
+        cache.get("missing")
+        counters = metrics.snapshot()["counters"]
+        assert "serving.cache.hits" not in counters
+        assert "serving.cache.evictions" not in counters
+
+    def test_n_hits_count_n(self):
+        metrics = MetricsRegistry()
+        cache = ServingCache(max_entries=1, metrics=metrics)
+        cache.put("a", _answer(1))
+        for __ in range(7):
+            cache.get("a")
+        for name in "bcd":
+            cache.put(name, _answer(name))  # each evicts the one before
+        counters = metrics.snapshot()["counters"]
+        assert counters["serving.cache.hits"] == 7
+        assert counters["serving.cache.evictions"] == 3
+
     def test_unmetered_cache_works_without_a_registry(self):
         cache = ServingCache(max_entries=1)
         cache.put("a", _answer(1))

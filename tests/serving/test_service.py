@@ -3,8 +3,10 @@ eviction metering, and the report surface."""
 
 import pytest
 
+from repro.core.tasks import question_text
 from repro.errors import ServingError
-from repro.serving import ServeConfig, ServeRequest, ServeResponse
+from repro.serving import ServeConfig, ServeRequest, ServeResponse, TenantBudget
+from repro.text.tokenize import count_tokens
 from tests.serving.conftest import generous_budgets
 
 #: one flush per unique question, answer cache of exactly one entry
@@ -60,6 +62,25 @@ class TestTraceValidation:
         service = make_service(budgets=generous_budgets("alpha"))
         with pytest.raises(ServingError):
             service.serve(make_trace([("ghost", 0.0, 0)]))
+
+
+class TestAdmissionEstimate:
+    @pytest.mark.parametrize("index", [0, 1, 7])
+    def test_a_question_is_charged_its_line_tokens(
+        self, make_service, make_trace, adult_dataset, index
+    ):
+        tokens = count_tokens(question_text(adult_dataset.instances[index], 1))
+        for budget, admitted in ((tokens, 1), (tokens - 1, 0)):
+            service = make_service(
+                budgets=[TenantBudget("alpha", 10, budget)]
+            )
+            report = service.serve(
+                make_trace([("alpha", 0.0, index), ("alpha", 1.0, index)])
+            )
+            assert len(report.responses) == admitted
+            assert [r.reason for r in report.rejections] == (
+                ["tenant_tpm"] * (2 - admitted)
+            )
 
 
 class TestServeConfigValidation:
