@@ -8,6 +8,12 @@ matrices, and requires the vectorized path to be at least
 ``MIN_SPEEDUP_AT_10K``x faster at the largest size.  The k-means
 convergence exit is timed on the resulting matrix as a secondary row.
 
+The memory row records the ``tracemalloc`` peak of a cold ``embed_all``
+(hash memos cleared) and of ``KMeans.fit`` at every size.  Both work in
+fixed blocks, so at 10k texts the embedding may peak at most
+``EMBED_PEAK_ALLOWANCE_MIB`` above the matrix it returns, and the fit at
+most ``FIT_PEAK_ALLOWANCE_MIB`` above its input.
+
 The Levenshtein row times the bit-parallel ``levenshtein`` (behind the
 error-detection solver's typo check, the lexicon's near-word check and
 Magellan's edit-distance feature) against ``levenshtein_reference``, the
@@ -18,13 +24,13 @@ full size the bit-parallel kernel must be ``MIN_LEVENSHTEIN_SPEEDUP``x
 faster.
 
 Writes ``BENCH_dataprep.json`` (machine-readable: per-size wall times,
-speedups, hash-cache occupancy, k-means iteration counts, and the
-``levenshtein`` row) for CI artifact upload.  Environment knobs:
+speedups, hash-cache occupancy, k-means iteration counts, memory peaks,
+and the ``levenshtein`` row) for CI artifact upload.  Environment knobs:
 
 - ``REPRO_DATAPREP_SIZES`` — comma-separated corpus sizes
   (default ``100,1000,10000``).  CI's smoke job sets ``100``; the speedup
-  floors are only asserted when a size >= 10000 is included, because the
-  vectorized path's fixed setup cost dominates tiny inputs.  The
+  floors and memory allowances are only asserted when a size >= 10000 is
+  included, because fixed setup costs dominate tiny inputs.  The
   Levenshtein row's random corpus has ``min(largest size,
   LEVENSHTEIN_RANDOM_PAIRS)`` pairs.
 - ``REPRO_DATAPREP_OUT`` — output path (default ``BENCH_dataprep.json``).
@@ -35,6 +41,7 @@ import os
 import random
 import string
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -48,6 +55,15 @@ from repro.text.similarity import levenshtein
 
 #: required scalar/vectorized wall-clock ratio at the 10k corpus
 MIN_SPEEDUP_AT_10K = 5.0
+
+#: allowed cold ``embed_all`` tracemalloc peak above the returned matrix
+#: at 10k texts: one block's transients plus the hash memos it fills
+#: (2.5 MiB observed; building every n-gram at once took 55 MiB)
+EMBED_PEAK_ALLOWANCE_MIB = 6.0
+#: allowed ``KMeans.fit`` tracemalloc peak above its input at 10k texts:
+#: the (n, k) distances and the largest cluster's member copy (5.8 MiB
+#: observed; whole-matrix row reductions took 19.9 MiB)
+FIT_PEAK_ALLOWANCE_MIB = 8.0
 
 #: required dynamic-program/bit-parallel wall-clock ratio at full size
 MIN_LEVENSHTEIN_SPEEDUP = 3.0
@@ -95,6 +111,17 @@ def _best_of(fn, rounds):
     return result, best
 
 
+def _traced_peak(fn):
+    """``fn()`` and the tracemalloc peak, in MiB, of what it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
 def _measure(embedder, corpus):
     """Cold/warm vectorized and scalar wall times plus both matrices."""
     # Tiny calls first: numpy's lazy first-use setup (ufunc dispatch,
@@ -111,10 +138,16 @@ def _measure(embedder, corpus):
     scalar_matrix, scalar_s = _best_of(
         lambda: embed_all_reference(embedder, corpus), rounds=1
     )
+    cache_terms = hash_cache_size()
+
+    clear_hash_cache()
+    __, embed_peak_mib = _traced_peak(lambda: embedder.embed_all(corpus))
     return {
         "cold_s": cold_s, "warm_s": warm_s, "scalar_s": scalar_s,
         "cold_matrix": cold_matrix, "warm_matrix": warm_matrix,
-        "scalar_matrix": scalar_matrix, "cache_terms": hash_cache_size(),
+        "scalar_matrix": scalar_matrix, "cache_terms": cache_terms,
+        "embed_peak_mib": embed_peak_mib,
+        "matrix_mib": cold_matrix.nbytes / 2**20,
     }
 
 
@@ -139,6 +172,9 @@ def _sweep(sizes, seed):
         cell["kmeans_labels_equal"] = bool(
             np.array_equal(early.labels_, full.labels_)
         )
+        __, cell["fit_peak_mib"] = _traced_peak(
+            lambda: KMeans(k=k, seed=seed).fit(matrix)
+        )
         out[n] = cell
     return out
 
@@ -158,6 +194,9 @@ def test_vectorized_kernels_scale(benchmark, seed):
             f"{cell['warm_s'] * 1e3:.1f}",
             f"{speedup_warm:.1f}x",
             f"{cell['kmeans_n_iter_early']}/{cell['kmeans_n_iter_full']}",
+            f"{cell['matrix_mib']:.1f}",
+            f"{cell['embed_peak_mib']:.1f}",
+            f"{cell['fit_peak_mib']:.1f}",
         ])
         payload[f"n_{n}"] = {
             "scalar_s": cell["scalar_s"],
@@ -171,18 +210,24 @@ def test_vectorized_kernels_scale(benchmark, seed):
             "kmeans_full_s": cell["kmeans_full_s"],
             "kmeans_n_iter_early": cell["kmeans_n_iter_early"],
             "kmeans_n_iter_full": cell["kmeans_n_iter_full"],
+            "matrix_mib": cell["matrix_mib"],
+            "embed_cold_peak_mib": cell["embed_peak_mib"],
+            "kmeans_fit_peak_mib": cell["fit_peak_mib"],
         }
     payload["meta"] = {
         "sizes": list(sizes),
         "seed": seed,
         "min_speedup_at_10k": MIN_SPEEDUP_AT_10K,
+        "embed_peak_allowance_mib": EMBED_PEAK_ALLOWANCE_MIB,
+        "fit_peak_allowance_mib": FIT_PEAK_ALLOWANCE_MIB,
         "embedder": {"dim": HashingEmbedder().dim,
                      "ngram": HashingEmbedder().ngram},
     }
     print()
     print(render_table(
         "Data-prep kernels — scalar vs vectorized embed_all",
-        ["n", "scalar ms", "cold ms", "warm ms", "speedup", "km iters"],
+        ["n", "scalar ms", "cold ms", "warm ms", "speedup", "km iters",
+         "matrix MiB", "embed peak MiB", "fit peak MiB"],
         rows,
     ))
 
@@ -204,6 +249,18 @@ def test_vectorized_kernels_scale(benchmark, seed):
         assert speedup >= MIN_SPEEDUP_AT_10K, (
             f"vectorized embed_all only {speedup:.1f}x faster than scalar "
             f"at n={n}; floor is {MIN_SPEEDUP_AT_10K}x"
+        )
+        cell = results[n]
+        assert cell["embed_peak_mib"] <= (
+            cell["matrix_mib"] + EMBED_PEAK_ALLOWANCE_MIB
+        ), (
+            f"cold embed_all peaked at {cell['embed_peak_mib']:.1f} MiB for a "
+            f"{cell['matrix_mib']:.1f} MiB matrix at n={n}; allowance is "
+            f"{EMBED_PEAK_ALLOWANCE_MIB} MiB"
+        )
+        assert cell["fit_peak_mib"] <= FIT_PEAK_ALLOWANCE_MIB, (
+            f"KMeans.fit peaked {cell['fit_peak_mib']:.1f} MiB above its input "
+            f"at n={n}; allowance is {FIT_PEAK_ALLOWANCE_MIB} MiB"
         )
 
 

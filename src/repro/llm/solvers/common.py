@@ -127,13 +127,15 @@ class BatchInterference:
             self._dissimilarity = []
             for question in questions:
                 tokens = set(question.lower().split())
-                if previous_tokens is None or not (tokens | previous_tokens):
+                if previous_tokens is None:
                     self._dissimilarity.append(0.0)
                 else:
-                    overlap = len(tokens & previous_tokens) / len(
-                        tokens | previous_tokens
+                    # Jaccard distance; |A ∪ B| = |A| + |B| - |A ∩ B|.
+                    shared = len(tokens & previous_tokens)
+                    union = len(tokens) + len(previous_tokens) - shared
+                    self._dissimilarity.append(
+                        1.0 - shared / union if union else 0.0
                     )
-                    self._dissimilarity.append(1.0 - overlap)
                 previous_tokens = tokens
 
     def adjust(self, decision: bool, margin: float) -> bool:

@@ -10,13 +10,51 @@ allocation, which is what makes 10k-point fits cheap.  Lloyd iterations
 stop as soon as labels converge (the fixed point of the update step), which
 is provably identical to running out the full iteration budget: once labels
 repeat, centroids recompute to the same means and labels never move again.
+
+The per-row reductions (row norms, k-means++ distances) run over row blocks
+of at most :data:`BLOCK_BYTES` of temporary, so they cost a block, not a
+second copy of the matrix.  Each output element reduces one row of the
+C-ordered matrix (``fit`` and ``predict`` make it one) on its own, so it is
+bit-identical under any blocking.  The update step's member copies
+(the largest cluster) and the ``(n, k)`` assignment matmul stay whole:
+blocking the first would change its summation order, and the second is
+already ``k / dim`` of the matrix.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import ReproError
+
+#: float64 bytes per row block of a per-row reduction: 256 rows at the
+#: embedder's 256 dimensions
+BLOCK_BYTES = 1 << 19
+
+
+def _row_sums(
+    X: np.ndarray, square: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``square(X).sum(axis=1)``, computed over row blocks of ``X``."""
+    sums = np.empty(X.shape[0], dtype=np.float64)
+    step = max(1, BLOCK_BYTES // (8 * max(X.shape[1], 1)))
+    for start in range(0, X.shape[0], step):
+        block = X[start:start + step]
+        square(block).sum(axis=1, out=sums[start:start + step])
+    return sums
+
+
+def row_sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row: ``(X * X).sum(axis=1)``, blocked."""
+    return _row_sums(X, lambda block: block * block)
+
+
+def sq_distances_to(X: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared distance of each row to ``point``:
+    ``((X - point) ** 2).sum(axis=1)``, blocked."""
+    return _row_sums(X, lambda block: (block - point) ** 2)
 
 
 class KMeans:
@@ -66,7 +104,7 @@ class KMeans:
         centroids = np.empty((self.k, X.shape[1]), dtype=np.float64)
         first = int(rng.integers(n))
         centroids[0] = X[first]
-        closest_sq = ((X - centroids[0]) ** 2).sum(axis=1)
+        closest_sq = sq_distances_to(X, centroids[0])
         for i in range(1, self.k):
             total = closest_sq.sum()
             if total <= 0.0:
@@ -76,13 +114,13 @@ class KMeans:
             probs = closest_sq / total
             choice = int(rng.choice(n, p=probs))
             centroids[i] = X[choice]
-            dist_sq = ((X - centroids[i]) ** 2).sum(axis=1)
+            dist_sq = sq_distances_to(X, centroids[i])
             closest_sq = np.minimum(closest_sq, dist_sq)
         return centroids
 
     def fit(self, X: np.ndarray) -> "KMeans":
         """Cluster the rows of ``X``; stores ``labels_`` and ``centroids_``."""
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ReproError(f"X must be 2-D, got shape {X.shape}")
         n = X.shape[0]
@@ -98,7 +136,7 @@ class KMeans:
 
         rng = np.random.default_rng(self.seed)
         centroids = self._init_centroids(X, rng)
-        x_norms = (X * X).sum(axis=1)
+        x_norms = row_sq_norms(X)
         labels = np.zeros(n, dtype=np.int64)
         self.n_iter_ = 0
         for iteration in range(self.n_iter):
@@ -131,8 +169,8 @@ class KMeans:
         """Assign each row of ``X`` to its nearest learned centroid."""
         if self.centroids_ is None:
             raise ReproError("predict called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        x_norms = (X * X).sum(axis=1)
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        x_norms = row_sq_norms(X)
         distances = self._pairwise_sq_distances(X, x_norms, self.centroids_)
         return distances.argmin(axis=1)
 

@@ -3,9 +3,10 @@
 A manifest is the run's provenance record — the configuration, the model
 profile it ran against, the dataset identity, the scored result, the
 metrics snapshot, the execution report, and the full span trace — written
-as a single JSON document.  Everything inside is plain data (dicts, lists,
-numbers, strings), so ``load(write(m)) == m`` holds exactly and a manifest
-written by one version of the code remains readable by the next.
+as a single JSON document, streamed to a temporary file and renamed into
+place.  Everything inside is plain data (dicts, lists, numbers, strings),
+so ``load(write(m)) == m`` holds exactly and a manifest written by one
+version of the code remains readable by the next.
 
 Nothing here reads the wall clock: manifests of deterministic runs are
 byte-identical across machines and reruns.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -180,10 +182,24 @@ class RunManifest:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def write(self, path: str | Path) -> Path:
-        """Write the manifest as one JSON file; returns the path."""
+        """Write the manifest as one JSON file; returns the path.
+
+        The document is streamed into a sibling temporary file, never built
+        as one string, and then renamed onto ``path``: the bytes equal
+        ``dumps() + "\n"``, a crash mid-write leaves the earlier file
+        whole, and a manifest that fails to serialize leaves it untouched.
+        """
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.dumps() + "\n", encoding="utf-8")
+        temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with temporary.open("w", encoding="utf-8") as handle:
+                json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            os.replace(temporary, target)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
         return target
 
     @classmethod

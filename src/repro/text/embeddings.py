@@ -12,14 +12,18 @@ Two embedding kernels produce bit-identical vectors:
   :func:`repro.testing.reference.embed_all_reference` row by row over it)
   hashes one term at a time in a Python loop — simple, obviously correct,
   and what the property tests anchor on;
-- the **vectorized** path (:meth:`HashingEmbedder.embed_all`) extracts all
-  terms up front, resolves term hashes through a process-level memo (one
-  ``blake2b`` per *unique* term per process, ever), and scatter-adds the
-  signs into the whole ``(n, dim)`` matrix with ``np.add.at``.
+- the **vectorized** path (:meth:`HashingEmbedder.embed_all`) works through
+  consecutive blocks of at most :data:`EMBED_BLOCK_CHARS` characters: it
+  extracts a block's terms, resolves their hashes through a process-level
+  memo (one ``blake2b`` per *unique* term per process, ever), and
+  scatter-adds the signs into the block's rows of the preallocated
+  ``(n, dim)`` matrix with one ``np.bincount``.
 
 Bit-identity holds because every accumulated value is a signed unit count:
 sums of ``±1.0`` are exact in float64 regardless of accumulation order, so
 the scalar per-row norms and the batched row norms agree to the last bit.
+A row depends only on its own text and the memos are pure, so how the
+texts fall into blocks cannot change a bit either.
 
 The substitution is documented in DESIGN.md.
 """
@@ -62,6 +66,14 @@ _GRAM_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 #: drop the memos rather than let an adversarial corpus grow them unboundedly
 _HASH_CACHE_MAX = 2_000_000
+
+#: normalized characters per ``embed_all`` block, each text's separator
+#: included.  A block's transients (word lists, n-gram windows, codes,
+#: hashes, cell ids) take 70-105 bytes per character, so 16k characters
+#: hold them near 1.25 MiB at any corpus size; the separator keeps a block
+#: of blank texts bounded too.  A text longer than the budget is a block
+#: of its own.
+EMBED_BLOCK_CHARS = 16_384
 
 
 def hash_cache_size() -> int:
@@ -217,20 +229,40 @@ class HashingEmbedder:
     def embed_all(self, texts: Iterable[str]) -> np.ndarray:
         """Embed many texts into a ``(n, dim)`` matrix — vectorized.
 
+        Texts are normalized one at a time and embedded in consecutive
+        blocks of at most :data:`EMBED_BLOCK_CHARS` characters, each written
+        into its rows of the preallocated matrix, so the transient memory is
+        one block's, not the corpus's.  Output is bit-identical to embedding
+        row by row with :meth:`embed` (property-tested), whatever the
+        blocks: a row depends only on its own text, and its cells are sums
+        of ``±1.0``, which float64 represents exactly in any order.
+        """
+        texts = list(texts)
+        matrix = np.zeros((len(texts), self.dim), dtype=np.float64)
+        block: list[str] = []
+        start = chars = 0
+        for text in texts:
+            normalized = normalize_text(text)
+            if block and chars + len(normalized) + 1 > EMBED_BLOCK_CHARS:
+                self._embed_block(block, matrix[start:start + len(block)])
+                start += len(block)
+                block, chars = [], 0
+            block.append(normalized)
+            chars += len(normalized) + 1
+        if block:
+            self._embed_block(block, matrix[start:])
+        return matrix
+
+    def _embed_block(self, normalized: list[str], out: np.ndarray) -> None:
+        """Embed normalized texts into ``out``, their zeroed matrix rows.
+
         Words are hashed through the process-level term memo; character
         n-grams are packed into integer codes with a sliding window over
         one shared byte buffer and resolved per *unique* gram, so only new
-        vocabulary ever reaches ``blake2b``.  Everything lands in the
-        matrix via ``np.add.at`` scatter-adds and rows are normalized in
-        one shot.  Output is bit-identical to embedding row by row with
-        :meth:`embed` (property-tested): accumulated values are sums of
-        ``±1.0``, which float64 represents exactly in any order.
+        vocabulary ever reaches ``blake2b``.  One weighted ``np.bincount``
+        scatter-adds the block and its rows are normalized in place.
         """
-        texts = list(texts)
-        n_texts = len(texts)
-        if n_texts == 0:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        normalized = [normalize_text(t) for t in texts]
+        n_texts = len(normalized)
         row_parts: list[np.ndarray] = []
         hash_parts: list[np.ndarray] = []
         word_lists = [s.split() for s in normalized]
@@ -251,23 +283,20 @@ class HashingEmbedder:
                 row_parts.append(gram_rows)
                 hash_parts.append(gram_hashes)
         if not row_parts:
-            return np.zeros((n_texts, self.dim), dtype=np.float64)
+            return
         rows = np.concatenate(row_parts)
         hashes = np.concatenate(hash_parts)
         indices = (hashes % np.uint64(self.dim)).astype(np.intp)
         signs = np.where((hashes >> np.uint64(32)) & np.uint64(1), 1.0, -1.0)
         # One weighted bincount is the whole scatter-add: cell sums of
         # ±1.0 are exact in float64, so accumulation order cannot matter.
-        matrix = np.bincount(
+        out[...] = np.bincount(
             rows * self.dim + indices,
             weights=signs,
             minlength=n_texts * self.dim,
         ).reshape(n_texts, self.dim)
-        norms = np.linalg.norm(matrix, axis=1)
-        np.divide(
-            matrix, norms[:, None], out=matrix, where=norms[:, None] > 0.0
-        )
-        return matrix
+        norms = np.linalg.norm(out, axis=1)
+        np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
 
     def _ngram_hashes(
         self, normalized: list[str]

@@ -81,6 +81,31 @@ class TestBatchInterference:
                 flips_mixed += 1
         assert flips_mixed >= flips_similar
 
+    def test_dissimilarity_is_the_set_union_jaccard_distance(self):
+        # Empty and blank questions, repeated tokens and case variants.
+        rng = random.Random(7)
+        vocabulary = ["alpha", "Alpha", "beta", "gamma", "7", " ", "x"]
+        profile = get_profile("gpt-3.5")
+        for __ in range(300):
+            questions = [
+                " ".join(rng.choices(vocabulary, k=rng.randint(0, 6)))
+                for __ in range(rng.randint(1, 8))
+            ]
+            expected, previous = [], None
+            for question in questions:
+                tokens = set(question.lower().split())
+                if previous is None or not (tokens | previous):
+                    expected.append(0.0)
+                else:
+                    expected.append(
+                        1.0 - len(tokens & previous) / len(tokens | previous)
+                    )
+                previous = tokens
+            interference = BatchInterference(
+                profile, random.Random(0), questions=questions
+            )
+            assert interference._dissimilarity == expected
+
 
 class TestEDSolverEvidence:
     def test_clean_value_scores_low(self, ed_solver):

@@ -93,8 +93,19 @@ class TestRunManifest:
     def test_file_round_trip_is_exact(self, tmp_path):
         manifest = _manifest()
         path = manifest.write(tmp_path / "artifacts" / "run.json")
-        assert path.exists()
+        assert path.read_text(encoding="utf-8") == manifest.dumps() + "\n"
         assert RunManifest.load(path) == manifest
+
+    def test_unserializable_manifest_leaves_the_file_untouched(self, tmp_path):
+        path = _manifest().write(tmp_path / "run.json")
+        before = path.read_bytes()
+        broken = _manifest()
+        # "trace" sorts late, so much of the document streams out first.
+        broken.trace = {"spans": [object()]}
+        with pytest.raises(TypeError):
+            broken.write(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ManifestError, match="not found"):
