@@ -227,6 +227,9 @@ class BatchExecutor:
             else None
         )
         self._rng = random.Random(self._config.seed)
+        #: draws taken from ``_rng``, all through :meth:`_jittered`; the
+        #: journal stores this count in place of the generator's state
+        self._rng_draws = 0
         self._stats = ExecutionReport(
             concurrency=self._config.concurrency,
             lanes=[LaneReport(lane=i) for i in range(self._config.concurrency)],
@@ -466,7 +469,6 @@ class BatchExecutor:
         interrupted one.  Derived time accounting (makespan, utilization)
         is *not* stored: :meth:`report` recomputes it from the clock.
         """
-        version, internal, gauss = self._rng.getstate()
         return {
             "clock": self._clock.checkpoint_state(),
             "lanes": [
@@ -481,8 +483,7 @@ class BatchExecutor:
                 if self._limiter is not None
                 else None
             ),
-            "rng": {"version": version, "internal": list(internal),
-                    "gauss": gauss},
+            "rng_draws": self._rng_draws,
             "report": {
                 "n_calls": self._stats.n_calls,
                 "n_retries": self._stats.n_retries,
@@ -529,10 +530,12 @@ class BatchExecutor:
             lane_state.open_until = float(stored["open_until"])
         if state.get("limiter") is not None and self._limiter is not None:
             self._limiter.restore_checkpoint_state(state["limiter"])
-        rng = state["rng"]
-        self._rng.setstate(
-            (rng["version"], tuple(rng["internal"]), rng["gauss"])
-        )
+        # The generator is seeded from the config and only ever drawn
+        # from, so re-seeding and drawing as often restores its state.
+        self._rng.seed(self._config.seed)
+        self._rng_draws = int(state["rng_draws"])
+        for __ in range(self._rng_draws):
+            self._rng.random()
         report = state["report"]
         self._stats.n_calls = int(report["n_calls"])
         self._stats.n_retries = int(report["n_retries"])
@@ -633,6 +636,7 @@ class BatchExecutor:
             span.add_event(name, time_s, **attrs)
 
     def _jittered(self, backoff: float) -> float:
+        self._rng_draws += 1
         return backoff * (1.0 + self._config.jitter * self._rng.random())
 
     def _next_backoff(self, backoff: float) -> float:

@@ -17,6 +17,7 @@ so instances are grouped by target attribute and batched within groups.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -154,12 +155,29 @@ class _BatchUnit:
     """One planned batch: everything needed to run it, plus its key."""
 
     seq: int
-    key: str
     builder: PromptBuilder
     fewshot: list[Instance]
     batch: list[Instance]
     indices: list[int]
     target: str | None
+
+    @functools.cached_property
+    def key(self) -> str:
+        """The unit's journal key, made when first read: only journaled
+        runs read it."""
+        return _unit_key(self.seq, self.target, self.indices)
+
+
+def _last_listed(units: list[_BatchUnit]) -> list[list[Instance]]:
+    """For each planned unit, the instances no later unit lists: once the
+    unit completes, the run looks none of their serializations up again."""
+    later: set[int] = set()
+    last: list[list[Instance]] = []
+    for unit in reversed(units):
+        last.append([i for i in unit.batch if id(i) not in later])
+        later.update(map(id, unit.batch))
+    last.reverse()
+    return last
 
 
 @dataclass
@@ -403,6 +421,11 @@ class Preprocessor:
         # plan of a resumed run matches the interrupted run batch for
         # batch — which is what makes journal records addressable.
         units = self._plan_units(dataset, instances, fewshot, prep)
+        # The plan also names every serialization the run will look up,
+        # so each unit's last-listed instances leave the prep memo when it
+        # completes.  ``instances`` keeps them alive, so their ids stay
+        # unique for the run.
+        releases = _last_listed(units)
 
         session = None
         start_index = 0
@@ -420,6 +443,8 @@ class Preprocessor:
                     session, units, predictions, quarantine,
                     stats, executor, obs, run_span, prep,
                 )
+                for unit in units[:start_index]:
+                    prep.release(releases[unit.seq])
             for unit in units[start_index:]:
                 watermark = (
                     session.mark(stats, obs) if session is not None else None
@@ -429,6 +454,7 @@ class Preprocessor:
                     dataset.task, stats, executor, ready_at=0.0,
                     obs=obs, parent=run_span,
                 )
+                prep.release(releases[unit.seq])
                 if cache_seen is not None:
                     hits, misses = cache_seen
                     cache_seen = self._cache_traffic()
@@ -532,15 +558,12 @@ class Preprocessor:
                 artifacts=prep,
             )
             for batch_positions in batches:
-                indices = [group_indices[p] for p in batch_positions]
-                seq = len(units)
                 units.append(_BatchUnit(
-                    seq=seq,
-                    key=_unit_key(seq, target, indices),
+                    seq=len(units),
                     builder=builder,
                     fewshot=group_fewshot,
                     batch=[group[p] for p in batch_positions],
-                    indices=indices,
+                    indices=[group_indices[p] for p in batch_positions],
                     target=target,
                 ))
         return units

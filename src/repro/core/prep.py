@@ -10,7 +10,9 @@ object owns the whole chain and memoizes every stage:
 - **texts** are memoized per instance object (identity-keyed; the
   artifacts object pins the instances it has seen so ids stay unique),
   each with its token count, which prompt assembly carries to the
-  request so the question block is never re-tokenized;
+  request so the question block is never re-tokenized.  An owner that
+  knows an entry will not be asked for again drops it with
+  :meth:`PrepArtifacts.release` (a run does, batch by batch);
 - **embedding matrices** are memoized by ``(dataset fingerprint,
   embedder dim, embedder ngram)`` where the fingerprint is a blake2b
   digest over the serialized texts;
@@ -31,7 +33,7 @@ import hashlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -153,6 +155,19 @@ class PrepArtifacts:
             self.stats.serialize_evictions += 1
             self._count("prep.serialize.evictions")
         return counted
+
+    def release(self, instances: Iterable[Instance]) -> None:
+        """Drop the memoized texts of ``instances``.
+
+        For an owner that knows no later lookup asks for them: a run
+        releases each batch's instances once no later batch of its plan
+        holds them.  Unlike an LRU eviction a release counts nothing.  The
+        owner keeps the released instances alive while it uses this
+        object, so no id is reused under the id-keyed fingerprint memo.
+        """
+        texts = self._texts
+        for instance in instances:
+            texts.pop(id(instance), None)
 
     def texts(self, instances: Sequence[Instance]) -> list[str]:
         """Serialized texts for ``instances``, each computed at most once."""

@@ -5,7 +5,9 @@ The paper (Section 2.1) defines four tasks and calls each input object a
 attribute pair ``(j, j')`` for schema matching, and a record pair
 ``(r, r')`` for entity matching.  The classes here couple each instance with
 its ground-truth label; the label never reaches an LLM — it lives only in
-the evaluation harness.
+the evaluation harness.  Instances are slotted dataclasses (no per-object
+``__dict__``): a run holds every one of them, so their size is paid once
+per row.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Task(enum.Enum):
         return "accuracy" if self is Task.DATA_IMPUTATION else "f1"
 
 
-@dataclass
+@dataclass(slots=True)
 class EDInstance:
     """Error detection: is cell ``record[target_attribute]`` erroneous?"""
 
@@ -61,7 +63,7 @@ class EDInstance:
     task = Task.ERROR_DETECTION
 
 
-@dataclass
+@dataclass(slots=True)
 class DIInstance:
     """Data imputation: infer the missing value of ``target_attribute``.
 
@@ -84,7 +86,7 @@ class DIInstance:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class SMInstance:
     """Schema matching: do attributes ``pair.left`` and ``pair.right`` refer
     to the same real-world attribute?"""
@@ -96,7 +98,7 @@ class SMInstance:
     task = Task.SCHEMA_MATCHING
 
 
-@dataclass
+@dataclass(slots=True)
 class EMInstance:
     """Entity matching: do ``pair.left`` and ``pair.right`` refer to the same
     real-world entity?"""

@@ -1,13 +1,14 @@
 """Records, record pairs, attribute pairs, and tables.
 
-A :class:`Record` is a mapping from attribute names to cell values, tied to a
-:class:`~repro.data.schema.Schema`.  Missing values are represented by
-``None`` (rendered as ``???`` by contextualization, paper Section 3.3).
+A :class:`Record` maps attribute names to cell values, tied to a
+:class:`~repro.data.schema.Schema`, and stores the cells in schema order.
+Missing values are represented by ``None`` (rendered as ``???`` by
+contextualization, paper Section 3.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 from repro.data.schema import Attribute, AttrType, Schema
@@ -50,53 +51,81 @@ def coerce_cell(value: Any, attr: Attribute) -> CellValue:
     )
 
 
-@dataclass
 class Record:
     """A single row of a relational table.
 
     Access cells with ``record[name]``; missing cells read as ``None``.
     Records are mutable (error injection and imputation update them) but
     always validated against their schema on construction and assignment.
+
+    The cells live in one list in schema order, and a name finds its cell
+    through the schema's name -> position map, so a record holds no dict
+    and no instance ``__dict__``.  Equality compares schema, cells and id
+    (so the order the constructor's ``values`` came in does not matter);
+    a record is mutable and therefore unhashable.
     """
 
-    schema: Schema
-    values: dict[str, CellValue] = field(default_factory=dict)
-    record_id: str = ""
+    __slots__ = ("schema", "_cells", "record_id")
 
-    def __post_init__(self) -> None:
-        coerced: dict[str, CellValue] = {}
-        for name, value in self.values.items():
-            if name not in self.schema:
-                raise RecordError(
-                    f"value for unknown attribute {name!r} "
-                    f"(schema {self.schema.name!r})"
-                )
-            coerced[name] = coerce_cell(value, self.schema[name])
-        # Ensure every schema attribute has a slot so iteration is total.
-        for attr in self.schema:
-            coerced.setdefault(attr.name, None)
-        self.values = coerced
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        schema: Schema,
+        values: Mapping[str, Any] | None = None,
+        record_id: str = "",
+    ) -> None:
+        self.schema = schema
+        self.record_id = record_id
+        cells: list[CellValue] = [None] * len(schema.attributes)
+        if values:
+            positions = schema._positions
+            attributes = schema.attributes
+            for name, value in values.items():
+                position = positions.get(name)
+                if position is None:
+                    raise RecordError(
+                        f"value for unknown attribute {name!r} "
+                        f"(schema {schema.name!r})"
+                    )
+                cells[position] = coerce_cell(value, attributes[position])
+        self._cells = cells
+
+    def _position(self, name: str) -> int:
+        try:
+            return self.schema._positions[name]
+        except (KeyError, TypeError):
+            raise SchemaError(
+                f"schema {self.schema.name!r} has no attribute {name!r}"
+            ) from None
 
     def __getitem__(self, name: str) -> CellValue:
-        if name not in self.schema:
-            raise SchemaError(
-                f"schema {self.schema.name!r} has no attribute {name!r}"
-            )
-        return self.values.get(name)
+        return self._cells[self._position(name)]
 
     def __setitem__(self, name: str, value: Any) -> None:
-        if name not in self.schema:
-            raise SchemaError(
-                f"schema {self.schema.name!r} has no attribute {name!r}"
-            )
-        self.values[name] = coerce_cell(value, self.schema[name])
+        position = self._position(name)
+        self._cells[position] = coerce_cell(
+            value, self.schema.attributes[position]
+        )
 
     def __contains__(self, name: object) -> bool:
         return name in self.schema
 
     def __iter__(self) -> Iterator[tuple[str, CellValue]]:
-        for attr in self.schema:
-            yield attr.name, self.values.get(attr.name)
+        return zip(self.schema.attribute_names, self._cells)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.schema, self._cells, self.record_id) == (
+            other.schema, other._cells, other.record_id  # type: ignore[attr-defined]
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Record(schema={self.schema!r}, values={self.to_dict()!r}, "
+            f"record_id={self.record_id!r})"
+        )
 
     def is_missing(self, name: str) -> bool:
         """Whether the cell for ``name`` is missing."""
@@ -107,18 +136,19 @@ class Record:
         return tuple(name for name, value in self if value is None)
 
     def copy(self) -> Record:
-        """A deep-enough copy: cell values are immutable scalars."""
-        return Record(
-            schema=self.schema, values=dict(self.values), record_id=self.record_id
-        )
+        """A deep-enough copy: cell values are immutable scalars.
+
+        The cells go through the constructor's coercion again, as they
+        always have: that turns an integer a text cell was given as a
+        bool into its string.
+        """
+        return Record(self.schema, self.to_dict(), self.record_id)
 
     def project(self, names: list[str] | tuple[str, ...]) -> Record:
         """Record restricted to ``names`` (feature selection, Section 3.4)."""
         projected_schema = self.schema.project(names)
         return Record(
-            schema=projected_schema,
-            values={n: self.values.get(n) for n in names},
-            record_id=self.record_id,
+            projected_schema, {n: self[n] for n in names}, self.record_id
         )
 
     def with_missing(self, name: str) -> Record:
@@ -127,11 +157,11 @@ class Record:
         Used to pose data-imputation questions without mutating the source.
         """
         out = self.copy()
-        out.values[name] = None
+        out._cells[out._position(name)] = None
         return out
 
     def to_dict(self) -> dict[str, CellValue]:
-        return {name: value for name, value in self}
+        return dict(zip(self.schema.attribute_names, self._cells))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n}={v!r}" for n, v in self)

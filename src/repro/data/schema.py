@@ -68,9 +68,11 @@ class Schema:
 
     Supports lookup by name or position and projection onto a subset of
     attributes (used by feature selection).  Name lookups go through a
-    name -> attribute index built once in ``__post_init__``; the index is
-    not a dataclass field, so equality, hashing, ``asdict`` and
-    ``replace`` see only ``name`` and ``attributes``.
+    name -> attribute index and a name -> position map, both built once
+    in ``__post_init__``; neither is a dataclass field, so equality,
+    hashing, ``asdict`` and ``replace`` see only ``name`` and
+    ``attributes``.  A :class:`~repro.data.records.Record` keeps its cells
+    in schema order and finds a name's cell through the position map.
     """
 
     name: str
@@ -88,9 +90,12 @@ class Schema:
             index[attr.name] = attr
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_names", tuple(index))
+        object.__setattr__(
+            self, "_positions", {name: i for i, name in enumerate(index)}
+        )
 
     def __reduce__(self):
-        # Pickle the fields only; unpickling rebuilds the index.
+        # Pickle the fields only; unpickling rebuilds the lookup tables.
         return (type(self), (self.name, self.attributes))
 
     @classmethod
@@ -148,8 +153,8 @@ class Schema:
     def index_of(self, name: str) -> int:
         """Position of attribute ``name`` in this schema."""
         try:
-            return self._names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):
             raise SchemaError(
                 f"schema {self.name!r} has no attribute {name!r}"
             ) from None

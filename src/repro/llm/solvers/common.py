@@ -121,38 +121,33 @@ class BatchInterference:
         self._rng = rng
         self._margin_window = margin_window
         self._history: list[bool] = []
-        self._dissimilarity: list[float] = [0.0]
-        if questions:
-            previous_tokens: set[str] | None = None
-            self._dissimilarity = []
-            for question in questions:
-                tokens = set(question.lower().split())
-                if previous_tokens is None:
-                    self._dissimilarity.append(0.0)
-                else:
-                    # Jaccard distance; |A ∪ B| = |A| + |B| - |A ∩ B|.
-                    shared = len(tokens & previous_tokens)
-                    union = len(tokens) + len(previous_tokens) - shared
-                    self._dissimilarity.append(
-                        1.0 - shared / union if union else 0.0
-                    )
-                previous_tokens = tokens
+        self._questions = questions or []
+
+    def dissimilarity(self, index: int) -> float:
+        """Jaccard distance between the token sets of question ``index``
+        and the question before it.
+
+        0.0 for the first question, 1.0 past the last one.  Computed on
+        demand: :meth:`adjust` reads it only for a near-boundary answer.
+        """
+        if index == 0:
+            return 0.0
+        if index >= len(self._questions):
+            return 1.0
+        tokens = set(self._questions[index].lower().split())
+        previous = set(self._questions[index - 1].lower().split())
+        # |A ∪ B| = |A| + |B| - |A ∩ B|
+        shared = len(tokens & previous)
+        union = len(tokens) + len(previous) - shared
+        return 1.0 - shared / union if union else 0.0
 
     def adjust(self, decision: bool, margin: float) -> bool:
         """Possibly override a near-boundary decision with the previous one."""
-        index = len(self._history)
         adjusted = decision
-        dissimilarity = (
-            self._dissimilarity[index]
-            if index < len(self._dissimilarity)
-            else 1.0
-        )
-        rate = self._profile.interference_rate * (0.3 + 1.7 * dissimilarity)
-        if (
-            self._history
-            and abs(margin) < self._margin_window
-            and self._rng.random() < rate
-        ):
-            adjusted = self._history[-1]
+        if self._history and abs(margin) < self._margin_window:
+            dissimilarity = self.dissimilarity(len(self._history))
+            rate = self._profile.interference_rate * (0.3 + 1.7 * dissimilarity)
+            if self._rng.random() < rate:
+                adjusted = self._history[-1]
         self._history.append(adjusted)
         return adjusted

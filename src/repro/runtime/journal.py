@@ -26,8 +26,10 @@ after a crash the file is a valid prefix plus at most one torn tail line.
 
 The header's ``journal_version`` is read before its seal, so a journal
 written in another format version is refused as such (``unsupported
-journal version 1 (this build reads 2)``) rather than reported as
-corrupted; no older version is readable.
+journal version 2 (this build reads 3)``) rather than reported as
+corrupted; no older version is readable.  Version 3 stores the
+executor's jitter generator as the number of draws taken since it was
+seeded (version 2 stored its whole Mersenne-Twister state).
 
 Corruption handling is *typed and recoverable*: a truncated tail, a
 flipped byte, a duplicated record, or an out-of-order record each raise
@@ -51,7 +53,7 @@ from pathlib import Path
 from repro.errors import ReproError
 from repro.obs.manifest import canonical_json, diff_payloads
 
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 
 #: a sealed line opens with ``{"check":"<16 hex>",``; the payload bytes the
 #: seal covers are ``{`` plus everything after that prefix

@@ -1,5 +1,7 @@
 """Tests for repro.core.executor (lane scheduling and fault tolerance)."""
 
+import json
+
 import pytest
 
 from repro.core.executor import BatchExecutor, ExecutorConfig
@@ -277,3 +279,41 @@ class TestRateLimits:
         with pytest.raises(ExecutionGiveUpError):
             executor.call(_request())
         assert executor.report().n_giveups == 1
+
+
+class TestJitterCheckpoint:
+    """The journal keeps the jitter generator as a count of draws."""
+
+    @pytest.mark.parametrize("k", [0, 1, 50])
+    def test_restored_executor_continues_the_jitter_sequence(self, k):
+        # calls 1..k fail (the first request's k jittered backoffs), then
+        # calls k+2..k+4 fail (the follow-up request's three)
+        def plan(index):
+            failing = index <= k or k + 2 <= index <= k + 4
+            return Fault("transient") if failing else None
+
+        def executor():
+            client = FaultInjectingClient(_FixedLatencyClient(10.0), plan)
+            config = ExecutorConfig(max_attempts=60, seed=11)
+            return BatchExecutor(client, config), client
+
+        original, original_client = executor()
+        original.call(_request())
+        assert original.report().n_retries == k
+        state = json.loads(json.dumps(original.checkpoint_state()))
+        assert state["rng_draws"] == k
+
+        resumed, resumed_client = executor()
+        resumed.restore_checkpoint_state(state)
+        resumed_client.restore_checkpoint_state(
+            original_client.checkpoint_state()
+        )
+        assert resumed.checkpoint_state() == original.checkpoint_state()
+
+        def follow_up(run):
+            __, finished = run.call(_request(2))
+            return finished, [run._jittered(1.0) for __ in range(20)]
+
+        assert follow_up(resumed) == follow_up(original)
+        assert resumed.checkpoint_state() == original.checkpoint_state()
+        assert resumed.checkpoint_state()["rng_draws"] == k + 23

@@ -114,7 +114,7 @@ class TestRunJournalCli:
             "run", "--dataset", "beer", "--resume", str(journal),
         ]) == 2
         err = capsys.readouterr().err
-        assert "unsupported journal version 1 (this build reads 2)" in err
+        assert "unsupported journal version 1 (this build reads 3)" in err
 
 
 class TestGoldenCli:

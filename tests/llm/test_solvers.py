@@ -104,7 +104,81 @@ class TestBatchInterference:
             interference = BatchInterference(
                 profile, random.Random(0), questions=questions
             )
-            assert interference._dissimilarity == expected
+            assert [
+                interference.dissimilarity(index)
+                for index in range(len(questions))
+            ] == expected
+            assert interference.dissimilarity(len(questions)) == 1.0
+
+    def test_lazy_distances_keep_every_decision_and_draw(self):
+        # Random question lists (none, empty, blank) and random margins
+        # around the window: the same decisions, and the generator left
+        # in the same state after every answer, as the eager class.
+        rng = random.Random(11)
+        vocabulary = ["alpha", "Alpha", "beta", "gamma", "7", " ", "x"]
+        for model in ("gpt-3.5", "vicuna-13b"):
+            profile = get_profile(model)
+            for trial in range(200):
+                questions = [
+                    " ".join(rng.choices(vocabulary, k=rng.randint(0, 6)))
+                    for __ in range(rng.randint(0, 8))
+                ] if trial % 5 else None
+                lazy_rng, eager_rng = random.Random(trial), random.Random(trial)
+                lazy = BatchInterference(profile, lazy_rng, questions=questions)
+                eager = _EagerInterference(
+                    profile, eager_rng, questions=questions
+                )
+                for __ in range(rng.randint(0, 12)):
+                    decision = rng.random() < 0.5
+                    margin = rng.uniform(-0.3, 0.3)
+                    assert lazy.adjust(decision, margin) == eager.adjust(
+                        decision, margin
+                    )
+                    assert lazy_rng.getstate() == eager_rng.getstate()
+
+
+class _EagerInterference:
+    """``BatchInterference`` as it was when every adjacent distance was
+    computed up front; the reference for the lazy one."""
+
+    def __init__(self, profile, rng, questions=None, margin_window=0.12):
+        self._profile = profile
+        self._rng = rng
+        self._margin_window = margin_window
+        self._history = []
+        self._dissimilarity = [0.0]
+        if questions:
+            previous_tokens = None
+            self._dissimilarity = []
+            for question in questions:
+                tokens = set(question.lower().split())
+                if previous_tokens is None:
+                    self._dissimilarity.append(0.0)
+                else:
+                    shared = len(tokens & previous_tokens)
+                    union = len(tokens) + len(previous_tokens) - shared
+                    self._dissimilarity.append(
+                        1.0 - shared / union if union else 0.0
+                    )
+                previous_tokens = tokens
+
+    def adjust(self, decision, margin):
+        index = len(self._history)
+        adjusted = decision
+        dissimilarity = (
+            self._dissimilarity[index]
+            if index < len(self._dissimilarity)
+            else 1.0
+        )
+        rate = self._profile.interference_rate * (0.3 + 1.7 * dissimilarity)
+        if (
+            self._history
+            and abs(margin) < self._margin_window
+            and self._rng.random() < rate
+        ):
+            adjusted = self._history[-1]
+        self._history.append(adjusted)
+        return adjusted
 
 
 class TestEDSolverEvidence:

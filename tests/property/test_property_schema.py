@@ -3,9 +3,11 @@
 A :class:`Schema` answers name lookups from an index built once, and a
 :class:`Record` coerces its cells through those lookups.  These
 properties hold both to the linear scans the index replaces: the same
-answers, the same errors, the same cell values (types and key order
+answers, the same errors, the same cell values (types and schema order
 included), and the same dataclass behaviour (equality, hashing,
-``asdict``, ``replace``, pickling).
+``asdict``, ``replace``, pickling).  A record keeps its cells in one list;
+:class:`TestRecordLayout` holds every record operation to the dict of
+cells records used to keep, rebuilt here as the reference.
 """
 
 import copy
@@ -17,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.records import Record
+from repro.data.instances import DIInstance, EDInstance, EMInstance, SMInstance
+from repro.data.records import AttributePair, Record, RecordPair
 from repro.data.schema import Attribute, AttrType, Schema
 from repro.errors import RecordError, SchemaError
 from repro.obs.manifest import jsonable
@@ -89,8 +92,8 @@ def _reference_values(schema, values):
     return coerced
 
 
-def _typed(values):
-    return [(name, type(value), value) for name, value in values.items()]
+def _typed(pairs):
+    return [(name, type(value), value) for name, value in pairs]
 
 
 class TestSchemaLookups:
@@ -195,10 +198,10 @@ class TestRecordCoercion:
         provided = provided[: data.draw(st.integers(0, len(provided)))]
         values = {name: data.draw(cells) for name in provided}
         record = Record(schema=schema, values=dict(values))
-        assert _typed(record.values) == _typed(_reference_values(schema, values))
-        assert list(record) == [
-            (attr.name, record.values[attr.name]) for attr in schema.attributes
-        ]
+        reference = _reference_values(schema, values)
+        assert _typed(record) == _typed(
+            (attr.name, reference[attr.name]) for attr in schema.attributes
+        )
 
     @given(schemas, names, cells)
     def test_unknown_attribute_is_refused(self, schema, name, value):
@@ -208,3 +211,226 @@ class TestRecordCoercion:
             Record(schema=schema, values={name: value})
         with pytest.raises(RecordError):
             _reference_values(schema, {name: value})
+
+
+# --- the dict-of-cells record layout, kept as the reference ---------------
+
+class _DictRecord:
+    """A record as a dict of coerced cells: input order, then the blanks."""
+
+    def __init__(self, schema, values=None, record_id=""):
+        self.schema = schema
+        self.values = _reference_values(schema, dict(values or {}))
+        self.record_id = record_id
+
+    def _check(self, name):
+        if name not in _names_of(self.schema):
+            raise SchemaError(f"no attribute {name!r}")
+
+    def get(self, name):
+        self._check(name)
+        return self.values.get(name)
+
+    def set(self, name, value):
+        self._check(name)
+        self.values[name] = _reference_coerce_cell(
+            value, _scan_get(self.schema, name)
+        )
+
+    def items(self):
+        return [(a.name, self.values.get(a.name)) for a in self.schema.attributes]
+
+    def copy(self):
+        return _DictRecord(self.schema, dict(self.values), self.record_id)
+
+    def project(self, names):
+        return _DictRecord(
+            self.schema.project(names),
+            {n: self.values.get(n) for n in names},
+            self.record_id,
+        )
+
+    def with_missing(self, name):
+        out = self.copy()
+        out.values[name] = None
+        return out
+
+    def __eq__(self, other):
+        return (self.schema, self.values, self.record_id) == (
+            other.schema, other.values, other.record_id
+        )
+
+
+def _names_of(schema):
+    return tuple(attr.name for attr in schema.attributes)
+
+
+def _same(record, reference):
+    assert record.schema == reference.schema
+    assert record.record_id == reference.record_id
+    assert _typed(record) == _typed(reference.items())
+    assert _typed(record.to_dict().items()) == _typed(reference.items())
+    assert record.missing_attributes == tuple(
+        name for name, value in reference.items() if value is None
+    )
+
+
+@st.composite
+def _provided(draw, schema):
+    """Some of ``schema``'s names in a random order, each with a raw cell."""
+    order = draw(st.permutations(schema.attribute_names))
+    order = order[: draw(st.integers(0, len(order)))]
+    return {name: draw(cells) for name in order}
+
+
+record_ids = st.text(max_size=6)
+
+
+class TestRecordLayout:
+    @given(schemas, st.data(), record_ids, st.lists(names, max_size=4))
+    def test_reads_match_the_dict_layout(self, schema, data, record_id, probes):
+        values = data.draw(_provided(schema))
+        record = Record(schema, dict(values), record_id)
+        reference = _DictRecord(schema, values, record_id)
+        _same(record, reference)
+        for name in [*schema.attribute_names, *probes]:
+            assert (name in record) == (name in _names_of(schema))
+            if name in _names_of(schema):
+                assert _typed([(name, record[name])]) == _typed(
+                    [(name, reference.get(name))]
+                )
+                assert record.is_missing(name) == (reference.get(name) is None)
+            else:
+                with pytest.raises(SchemaError):
+                    record[name]
+                with pytest.raises(SchemaError):
+                    reference.get(name)
+
+    @given(schemas, st.data(), st.lists(st.tuples(names, cells), max_size=8))
+    def test_assignment_coerces_like_the_dict_layout(
+        self, schema, data, assignments
+    ):
+        values = data.draw(_provided(schema))
+        record = Record(schema, dict(values))
+        reference = _DictRecord(schema, values)
+        known = list(schema.attribute_names)
+        for probe, value in assignments:
+            name = data.draw(st.sampled_from(known)) if known else probe
+            if name in known:
+                record[name] = value
+                reference.set(name, value)
+            else:
+                with pytest.raises(SchemaError):
+                    record[name] = value
+            _same(record, reference)
+            assert (record == Record(schema, record.to_dict())) == (
+                reference == _DictRecord(schema, dict(reference.values))
+            )
+
+    @given(schemas, st.data(), record_ids)
+    def test_copy_is_independent_and_with_missing_blanks_one_cell(
+        self, schema, data, record_id
+    ):
+        values = data.draw(_provided(schema))
+        record = Record(schema, dict(values), record_id)
+        reference = _DictRecord(schema, values, record_id)
+        twin = record.copy()
+        _same(twin, reference.copy())
+        # a copy re-coerces: an int a text cell got as a bool turns str
+        assert (twin == record) == (reference.copy() == reference)
+        assert twin is not record
+        for name in schema.attribute_names:
+            twin[name] = "changed"
+            blanked = record.with_missing(name)
+            _same(blanked, reference.with_missing(name))
+            assert blanked[name] is None
+        _same(record, reference)  # neither the copy nor a blank touched it
+        with pytest.raises(SchemaError):
+            record.with_missing("not an attribute name")
+
+    @given(schemas, st.data())
+    def test_projection_matches_the_dict_layout(self, schema, data):
+        values = data.draw(_provided(schema))
+        chosen = data.draw(st.permutations(schema.attribute_names))
+        chosen = chosen[: data.draw(st.integers(0, len(chosen)))]
+        record = Record(schema, dict(values), "r1")
+        _same(
+            record.project(chosen),
+            _DictRecord(schema, values, "r1").project(chosen),
+        )
+
+    @given(schemas, st.data(), record_ids)
+    def test_equality_ignores_input_order_and_records_stay_unhashable(
+        self, schema, data, record_id
+    ):
+        values = data.draw(_provided(schema))
+        shuffled = dict(
+            (name, values[name])
+            for name in data.draw(st.permutations(list(values)))
+        )
+        first = Record(schema, values, record_id)
+        second = Record(schema, shuffled, record_id)
+        assert first == second
+        other = data.draw(_provided(schema))
+        assert (Record(schema, other, record_id) == first) == (
+            _DictRecord(schema, other, record_id)
+            == _DictRecord(schema, values, record_id)
+        )
+        assert first != Record(schema, values, record_id + "x")
+        assert first != dict(first)
+        with pytest.raises(TypeError):
+            hash(first)
+
+    @given(schemas, cells, names)
+    def test_unknown_names_are_refused(self, schema, value, name):
+        if name in schema.attribute_names:
+            return
+        record = Record(schema)
+        with pytest.raises(RecordError):
+            Record(schema, {name: value})
+        with pytest.raises(SchemaError):
+            record[name]
+        with pytest.raises(SchemaError):
+            record[name] = value
+        assert name not in record
+        assert not hasattr(record, "__dict__")
+
+    @given(schemas, st.data(), record_ids)
+    @settings(max_examples=50)
+    def test_records_and_instances_pickle_round_trip(
+        self, schema, data, record_id
+    ):
+        values = data.draw(_provided(schema))
+        record = Record(schema, dict(values), record_id)
+        reference = _DictRecord(schema, values, record_id)
+        for clone in (
+            pickle.loads(pickle.dumps(record)),
+            copy.deepcopy(record),
+        ):
+            assert clone == record
+            _same(clone, reference)
+            if schema.attribute_names:
+                clone[schema.attribute_names[0]] = None
+                assert record[schema.attribute_names[0]] == reference.get(
+                    schema.attribute_names[0]
+                )
+        instances = [
+            SMInstance(
+                AttributePair(Attribute("a", description="x"), Attribute("b")),
+                label=True, instance_id="sm-0",
+            ),
+            EMInstance(RecordPair(record, record.copy()), label=False),
+        ]
+        if schema.attribute_names:
+            target = schema.attribute_names[-1]
+            instances += [
+                EDInstance(record, target, label=True, clean_value="v"),
+                DIInstance(record.with_missing(target), target, "v", "di-0"),
+            ]
+        for instance in instances:
+            clone = pickle.loads(pickle.dumps(instance))
+            assert type(clone) is type(instance)
+            assert clone == instance
+            assert clone.task is instance.task
+            assert not hasattr(instance, "__dict__")
+            assert not hasattr(clone, "__dict__")

@@ -35,6 +35,14 @@ V1_HEADER_LINE = (
     b'"kind":"header"}\n'
 )
 
+#: a header line exactly as journal format version 2 wrote it
+V2_HEADER_LINE = (
+    b'{"check":"64d5583a2da74b9e","context":{"dataset":{"digest":"abc123",'
+    b'"name":"adult"},"pipeline_config":{"model":"gpt-3.5","seed":0}},'
+    b'"fingerprint":"7e23ca19441c42b93a810078d36c17ab","journal_version":2,'
+    b'"kind":"header"}\n'
+)
+
 
 def _context(**overrides):
     base = {
@@ -193,7 +201,19 @@ class TestCorruption:
             with pytest.raises(JournalError) as excinfo:
                 read(path)
             message = str(excinfo.value)
-            assert "unsupported journal version 1 (this build reads 2)" in message
+            assert "unsupported journal version 1 (this build reads 3)" in message
+            assert "checksum" not in message
+            assert excinfo.value.line_no == 1
+            assert excinfo.value.header is None
+
+    def test_version_2_journal_is_refused_as_old_not_corrupt(self, tmp_path):
+        path = tmp_path / "v2.journal"
+        path.write_bytes(V2_HEADER_LINE)
+        for read in (RunJournal.load, RunJournal.recover):
+            with pytest.raises(JournalError) as excinfo:
+                read(path)
+            message = str(excinfo.value)
+            assert "unsupported journal version 2 (this build reads 3)" in message
             assert "checksum" not in message
             assert excinfo.value.line_no == 1
             assert excinfo.value.header is None
