@@ -421,6 +421,7 @@ class Preprocessor:
         # plan of a resumed run matches the interrupted run batch for
         # batch — which is what makes journal records addressable.
         units = self._plan_units(dataset, instances, fewshot, prep)
+        prep.release_vectors()
         # The plan also names every serialization the run will look up,
         # so each unit's last-listed instances leave the prep memo when it
         # completes.  ``instances`` keeps them alive, so their ids stay

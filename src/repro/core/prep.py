@@ -18,6 +18,10 @@ object owns the whole chain and memoizes every stage:
   digest over the serialized texts;
 - **cluster labels** are memoized by the matrix key plus ``(k, seed)``.
 
+Matrices, labels and fingerprints serve batch planning only; an owner
+drops them with :meth:`PrepArtifacts.release_vectors` once its plan is
+drawn (a run does, and so does each window flush of a service).
+
 Determinism: every artifact is a pure function of its cache key, so
 reusing a cached value is bitwise-indistinguishable from recomputing it —
 which is why threading one artifacts object through a pipeline run cannot
@@ -168,6 +172,17 @@ class PrepArtifacts:
         texts = self._texts
         for instance in instances:
             texts.pop(id(instance), None)
+
+    def release_vectors(self) -> None:
+        """Drop every memoized embedding matrix, cluster labeling and
+        fingerprint.
+
+        For an owner whose plan is drawn: nothing after batch planning
+        asks for them.  Like :meth:`release`, a drop counts nothing.
+        """
+        self._matrices.clear()
+        self._labels.clear()
+        self._fingerprints.clear()
 
     def texts(self, instances: Sequence[Instance]) -> list[str]:
         """Serialized texts for ``instances``, each computed at most once."""

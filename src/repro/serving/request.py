@@ -27,13 +27,14 @@ REJECT_REASONS: tuple[str, ...] = (
 ANSWER_SOURCES: tuple[str, ...] = ("llm", "shared", "cache")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServeRequest:
     """One tenant question arriving at a virtual time.
 
     ``request_id`` is globally unique and monotone in arrival order — the
     deterministic tie-breaker whenever two requests arrive at the same
-    instant.
+    instant.  Slotted: a trace holds one request per arrival, and a
+    request without a ``__dict__`` is about a third smaller.
     """
 
     request_id: int

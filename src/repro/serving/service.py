@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.batching import make_batches
 from repro.core.config import PipelineConfig
@@ -91,6 +92,21 @@ class ServeConfig:
             max_wait_s=self.max_wait_s,
             mode=self.coalesce,
         )
+
+
+class _Question(NamedTuple):
+    """What the front door knows about one instance object's question.
+
+    ``key`` is the content digest naming the question across tenants and
+    runs (equal instances share it, and so share the cache entry and the
+    pending entry); ``tokens`` is the admission-time token estimate, the
+    question line itself.  Holding ``instance`` pins the object, so its
+    id names it for the service's lifetime.
+    """
+
+    key: str
+    tokens: int
+    instance: Instance
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -299,8 +315,9 @@ class PreprocessingService:
         self._fewshot = fewshot
         self._fewshot_by_target: dict[str | None, list[Instance]] = {}
         self._builders: dict[str | None, PromptBuilder] = {}
-        #: id -> (pinned instance, question key); pinning keeps ids unique
-        self._keys: dict[int, tuple[Instance, str]] = {}
+        #: id(instance) -> its question, made on the object's first arrival
+        self._questions: dict[int, _Question] = {}
+        #: content key -> token estimate of the first object with that key
         self._question_tokens: dict[str, int] = {}
         self._pending: dict[str, PendingEntry] = {}
         self._batch_seq = 0
@@ -329,29 +346,24 @@ class PreprocessingService:
 
     # -- request identity -------------------------------------------------
 
-    def _key_of(self, instance: Instance) -> str:
-        """Content digest naming this question across tenants and runs."""
-        pinned = self._keys.get(id(instance))
-        if pinned is not None:
-            return pinned[1]
+    def _question_of(self, instance: Instance) -> _Question:
+        """Make the question of an instance object's first arrival."""
         digest = hashlib.blake2b(digest_size=16)
         digest.update(self._config_fp.encode("ascii"))
         digest.update(instance.task.name.encode("ascii"))
         digest.update(repr(target_attribute_of(instance)).encode("utf-8"))
         digest.update(self._prep.text_of(instance).encode("utf-8"))
         key = digest.hexdigest()
-        self._keys[id(instance)] = (instance, key)
-        return key
-
-    def _tokens_of(self, key: str, instance: Instance) -> int:
-        """Admission-time token estimate: the question text itself."""
         tokens = self._question_tokens.get(key)
         if tokens is None:
             tokens = question_line(
                 instance, 1, *self._prep.counted_of(instance)
             )[1]
             self._question_tokens[key] = tokens
-        return tokens
+        question = self._questions[id(instance)] = _Question(
+            key, tokens, instance
+        )
+        return question
 
     def _builder_for(self, target: str | None) -> PromptBuilder:
         builder = self._builders.get(target)
@@ -380,39 +392,67 @@ class PreprocessingService:
         """Replay ``trace`` (sorted by arrival) through the service.
 
         Raises :class:`~repro.errors.ServingError` on a non-monotonic
-        trace, a request for a different task, or an unknown tenant.
-        Returns a report whose responses + rejections partition the trace
-        exactly.
+        trace, a request for a different task, or an unknown tenant,
+        before admitting any of it: a refused trace leaves the service as
+        it found it.  Returns a report whose responses + rejections
+        partition the trace exactly.
         """
+        last_arrival = self._check_trace(trace)
         responses: list[ServeResponse] = []
         rejections: list[RejectedRequest] = []
         batches: list[dict] = []
         usage_before = self._stats.usage
         if trace:
-            # Bound once per call (a trace that asks nothing creates no
-            # counter); still incremented once per arrival below.
-            n_requests = self.metrics.counter("serving.requests")
+            # A trace that asks nothing creates no counter.
+            self.metrics.counter("serving.requests").inc(len(trace))
+            self._last_arrival = last_arrival
 
+        # Per arrival: one lookup for everything known about its
+        # question.  ``TenantAdmission.admit`` and ``ServingCache.get``
+        # stay one call each: bench/layers.py times admission and the
+        # cache by wrapping them.
+        questions = self._questions
+        coalescer = self._coalescer
+        monitor = self._monitor
+        due = coalescer.due
+        admit = self._admission.admit
+        cache_get = self._cache.get
+        respond = responses.append
         for request in trace:
-            if request.arrival_s < self._last_arrival:
-                raise ServingError(
-                    f"trace is not sorted: request {request.request_id} "
-                    f"arrives at {request.arrival_s:.3f} after "
-                    f"{self._last_arrival:.3f}"
-                )
-            self._last_arrival = request.arrival_s
-            if request.instance.task is not self._dataset.task:
-                raise ServingError(
-                    f"request {request.request_id} carries a "
-                    f"{request.instance.task.name} instance; this service "
-                    f"serves {self._dataset.task.name}"
-                )
-            n_requests.inc()
-            for flush in self._coalescer.due(request.arrival_s):
+            arrival = request.arrival_s
+            for flush in due(arrival):
                 self._execute_flush(flush, responses, batches)
-            self._admit(request, responses, rejections, batches)
+            if monitor is not None and monitor.should_shed(
+                coalescer.backlog_age_s(arrival)
+            ):
+                # Shed at the front door, before the tenant window is
+                # charged: the backend is too sick to take on new work.
+                self._reject(
+                    request, "backend_degraded", rejections,
+                    detail=f"stress {monitor.stress:.3f}",
+                )
+                continue
+            try:
+                question = questions[id(request.instance)]
+            except KeyError:
+                question = self._question_of(request.instance)
+            key, tokens, __ = question
+            reason = admit(request.tenant, tokens, arrival)
+            if reason is not None:
+                self._reject(request, reason, rejections)
+                continue
+            cached = cache_get(key)
+            if cached is None:
+                self._enqueue(request, key, responses, rejections, batches)
+                continue
+            respond(ServeResponse(
+                request.request_id, request.tenant, arrival,
+                cached.prediction, "cache", arrival,
+                max(arrival, cached.completed_s), None,
+                cached.quarantine_reason,
+            ))
 
-        for flush in self._coalescer.drain():
+        for flush in coalescer.drain():
             self._execute_flush(flush, responses, batches)
 
         if len(responses) + len(rejections) != len(trace):
@@ -447,46 +487,45 @@ class PreprocessingService:
             backend_health=self._backend_health(),
         )
 
-    def _admit(
+    def _check_trace(self, trace: list[ServeRequest]) -> float:
+        """Refuse an invalid trace whole; return its last arrival.
+
+        Runs before anything is admitted, so a refused trace charges no
+        budget, queues nothing and moves no clock.
+        """
+        last = self._last_arrival
+        task = self._dataset.task
+        tenants = set(self._admission.tenants)
+        for request in trace:
+            if request.arrival_s < last:
+                raise ServingError(
+                    f"trace is not sorted: request {request.request_id} "
+                    f"arrives at {request.arrival_s:.3f} after {last:.3f}"
+                )
+            last = request.arrival_s
+            if request.instance.task is not task:
+                raise ServingError(
+                    f"request {request.request_id} carries a "
+                    f"{request.instance.task.name} instance; this service "
+                    f"serves {task.name}"
+                )
+            if request.tenant not in tenants:
+                raise ServingError(
+                    f"request {request.request_id} names unknown tenant "
+                    f"{request.tenant!r}; known: {', '.join(sorted(tenants))}"
+                )
+        return last
+
+    def _enqueue(
         self,
         request: ServeRequest,
+        key: str,
         responses: list[ServeResponse],
         rejections: list[RejectedRequest],
         batches: list[dict],
     ) -> None:
-        """Admission → cache → coalescer for one arrival."""
-        if self._monitor is not None and self._monitor.should_shed(
-            self._coalescer.backlog_age_s(request.arrival_s)
-        ):
-            # Shed at the front door, before the tenant window is
-            # charged: the backend is too sick to take on new work.
-            self._reject(
-                request, "backend_degraded", rejections,
-                detail=f"stress {self._monitor.stress:.3f}",
-            )
-            return
-        key = self._key_of(request.instance)
-        tokens = self._tokens_of(key, request.instance)
-        reason = self._admission.admit(
-            request.tenant, tokens, request.arrival_s
-        )
-        if reason is not None:
-            self._reject(request, reason, rejections)
-            return
-        cached = self._cache.get(key)
-        if cached is not None:
-            responses.append(ServeResponse(
-                request_id=request.request_id,
-                tenant=request.tenant,
-                arrival_s=request.arrival_s,
-                prediction=cached.prediction,
-                source="cache",
-                flushed_s=request.arrival_s,
-                completed_s=max(request.arrival_s, cached.completed_s),
-                batch_seq=None,
-                quarantine_reason=cached.quarantine_reason,
-            ))
-            return
+        """An admitted cache miss: join the question's pending entry, or
+        queue a new one."""
         entry = self._pending.get(key)
         if entry is not None:
             # The same question is already queued: ride along.
@@ -551,13 +590,16 @@ class PreprocessingService:
                 for start in range(0, n, max_batch)
             ]
         config = self._preprocessor.config
-        return make_batches(
+        batches = make_batches(
             [entry.instance for entry in flush.entries],
             batch_size=max_batch,
             mode=config.batching,
             seed=config.seed,
             artifacts=self._prep,
         )
+        # A window is planned once: its vectors would outlive it unread.
+        self._prep.release_vectors()
+        return batches
 
     def _execute_flush(
         self,

@@ -1,12 +1,15 @@
-"""The run's serialization memo is scoped by its batch plan.
+"""The run's prep memo is scoped by its batch plan.
 
 ``Preprocessor.run`` plans every unit before the first completion call,
 so it knows every serialization it will look up.  Once a unit completes,
 with its context-window splits and degradation-ladder re-asks, the
 instances no later unit lists leave the memo
-(:meth:`~repro.core.prep.PrepArtifacts.release`).  No released entry is
-looked up again, so every count equals that of a run whose release does
-nothing.
+(:meth:`~repro.core.prep.PrepArtifacts.release`).  The cluster path's
+embedding matrices, labels and fingerprints serve only the plan and
+leave once it is drawn
+(:meth:`~repro.core.prep.PrepArtifacts.release_vectors`).  Nothing
+released is looked up again, so every count equals that of a run whose
+releases do nothing.
 """
 
 import dataclasses
@@ -90,10 +93,15 @@ def _counts(result) -> dict:
     }
 
 
+def _keep_everything(patch) -> None:
+    patch.setattr(PrepArtifacts, "release", lambda self, instances: None)
+    patch.setattr(PrepArtifacts, "release_vectors", lambda self: None)
+
+
 def _released_and_kept(monkeypatch, client_factory, config, dataset):
     released = Preprocessor(client_factory(), config).run(dataset)
     with monkeypatch.context() as patch:
-        patch.setattr(PrepArtifacts, "release", lambda self, instances: None)
+        _keep_everything(patch)
         kept = Preprocessor(client_factory(), config).run(dataset)
     return _counts(released), _counts(kept)
 
@@ -117,6 +125,7 @@ class TestReleaseChangesNoCount:
         )
         assert released == kept
         assert released["prep"]["prep.serialize.hits"] > 0
+        assert released["stats"]["embed_misses"] == 1
 
     def test_context_window_splits(self, monkeypatch, adult_dataset):
         released, kept = _released_and_kept(
@@ -171,9 +180,7 @@ class TestReleaseChangesNoCount:
 
         released = crash_then_resume("released")
         with monkeypatch.context() as patch:
-            patch.setattr(
-                PrepArtifacts, "release", lambda self, instances: None
-            )
+            _keep_everything(patch)
             kept = crash_then_resume("kept")
         assert result_payload(released) == result_payload(kept)
         assert _counts(released.result) == _counts(kept.result)
@@ -201,3 +208,36 @@ class TestMemoScope:
         monkeypatch.setattr(PrepArtifacts, "release", release)
         Preprocessor(_simulated(), config).run(adult_dataset)
         assert held and max(held) <= config.batch_size
+
+    @pytest.mark.parametrize(
+        "dataset_name", ["amazon_google_dataset", "adult_dataset"]
+    )
+    def test_no_vector_outlives_the_plan(
+        self, monkeypatch, request, dataset_name
+    ):
+        dataset = request.getfixturevalue(dataset_name)
+        memos: list[PrepArtifacts] = []
+        held: list[int] = []
+        original_release_vectors = PrepArtifacts.release_vectors
+        original_run_batch = Preprocessor._run_batch
+
+        def release_vectors(self):
+            assert self._matrices and self._labels and self._fingerprints
+            memos.append(self)
+            original_release_vectors(self)
+
+        def run_batch(self, *args, **kwargs):
+            [prep] = memos
+            held.append(
+                len(prep._matrices) + len(prep._labels)
+                + len(prep._fingerprints)
+            )
+            return original_run_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrepArtifacts, "release_vectors", release_vectors)
+        monkeypatch.setattr(Preprocessor, "_run_batch", run_batch)
+        result = Preprocessor(
+            _simulated(), _config(batching="cluster", batch_size=4)
+        ).run(dataset)
+        assert result.prep.embed_misses >= 1
+        assert held and max(held) == 0

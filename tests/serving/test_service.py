@@ -1,11 +1,22 @@
 """End-to-end service behavior: caching across runs, trace validation,
 eviction metering, and the report surface."""
 
+import pickle
+
 import pytest
 
+from repro.core.config import PipelineConfig
+from repro.core.prep import PrepArtifacts
 from repro.core.tasks import question_text
 from repro.errors import ServingError
-from repro.serving import ServeConfig, ServeRequest, ServeResponse, TenantBudget
+from repro.llm.simulated import SimulatedLLM
+from repro.serving import (
+    PreprocessingService,
+    ServeConfig,
+    ServeRequest,
+    ServeResponse,
+    TenantBudget,
+)
 from repro.text.tokenize import count_tokens
 from tests.serving.conftest import generous_budgets
 
@@ -62,6 +73,121 @@ class TestTraceValidation:
         service = make_service(budgets=generous_budgets("alpha"))
         with pytest.raises(ServingError):
             service.serve(make_trace([("ghost", 0.0, 0)]))
+
+
+#: tight enough for tenant-0 that the valid trace below draws
+#: rejections, so a budget charged by a refused trace would show
+_REFUSAL_BUDGETS = [
+    TenantBudget("tenant-0", 3, 10**9),
+    TenantBudget("tenant-1", 10**9, 10**9),
+]
+
+
+def _valid_rows():
+    return [
+        (("tenant-0", "tenant-1")[i % 2], 0.5 * i, i % 4) for i in range(12)
+    ]
+
+
+def _refused_trace(kind, make_trace, restaurant_dataset):
+    """Five valid requests, then one the service must refuse."""
+    rows = [("tenant-0", 0.5 * i, i) for i in range(5)]
+    if kind == "unsorted":
+        return make_trace(rows + [("tenant-0", 0.25, 5)])
+    if kind == "unknown_tenant":
+        return make_trace(rows + [("ghost", 3.0, 5)])
+    foreign = list(restaurant_dataset.instances)[0]
+    return make_trace(rows) + [ServeRequest(5, "tenant-0", 3.0, foreign)]
+
+
+class TestRefusedTraceLeavesNoTrace:
+    """A refused trace is refused whole, before any of it is admitted:
+    no budget charged, nothing queued, no counter, no clock moved."""
+
+    @pytest.mark.parametrize(
+        "kind", ["unsorted", "wrong_task", "unknown_tenant"]
+    )
+    def test_next_serve_equals_a_fresh_service(
+        self, make_service, make_trace, restaurant_dataset, kind
+    ):
+        refused = make_service(
+            budgets=_REFUSAL_BUDGETS,
+            serve_config=ServeConfig(max_batch=2, max_wait_s=1.0),
+        )
+        with pytest.raises(ServingError):
+            refused.serve(_refused_trace(kind, make_trace, restaurant_dataset))
+        assert refused.metrics.snapshot()["counters"] == {}
+
+        fresh = make_service(
+            budgets=_REFUSAL_BUDGETS,
+            serve_config=ServeConfig(max_batch=2, max_wait_s=1.0),
+        )
+        after = refused.serve(make_trace(_valid_rows()))
+        expected = fresh.serve(make_trace(_valid_rows()))
+        assert after.payload() == expected.payload()
+        assert refused.metrics.snapshot() == fresh.metrics.snapshot()
+        assert [r.reason for r in expected.rejections] == ["tenant_rpm"] * 3
+
+
+class TestClusterWindows:
+    """A window flush larger than ``max_batch`` is partitioned by cluster
+    batching; its embedding matrix, labels and fingerprint serve that one
+    plan and must not stay in the service's long-lived prep memo."""
+
+    @staticmethod
+    def _serve(adult_dataset, make_trace):
+        """The same six-question window three times, uncached, so every
+        window is planned again."""
+        instances = list(adult_dataset.instances)
+        target = instances[5].target_attribute
+        same = [
+            i for i, instance in enumerate(instances)
+            if instance.target_attribute == target
+        ][:6]
+        service = PreprocessingService(
+            SimulatedLLM("gpt-3.5", seed=0),
+            adult_dataset,
+            generous_budgets("tenant-0"),
+            serve_config=ServeConfig(
+                max_batch=4, max_wait_s=2.0, cache_entries=0
+            ),
+            pipeline_config=PipelineConfig(
+                model="gpt-3.5", seed=0, batching="cluster"
+            ),
+        )
+        reports = [
+            service.serve(make_trace([
+                ("tenant-0", 10.0 * window + 0.1 * i, index)
+                for i, index in enumerate(same)
+            ]))
+            for window in range(3)
+        ]
+        return service, reports
+
+    def test_no_vectors_outlive_a_window(self, adult_dataset, make_trace):
+        service, reports = self._serve(adult_dataset, make_trace)
+        counters = reports[-1].metrics["counters"]
+        # A repeated window is embedded and clustered again.
+        assert counters["prep.embed.misses"] == 3
+        assert counters["prep.cluster.misses"] == 3
+        assert "prep.embed.hits" not in counters
+        prep = service._prep
+        assert (prep._matrices, prep._labels, prep._fingerprints) == (
+            {}, {}, {}
+        )
+
+    def test_answers_equal_a_service_that_keeps_them(
+        self, monkeypatch, adult_dataset, make_trace
+    ):
+        __, dropped = self._serve(adult_dataset, make_trace)
+        with monkeypatch.context() as patch:
+            patch.setattr(PrepArtifacts, "release_vectors", lambda self: None)
+            kept_service, kept = self._serve(adult_dataset, make_trace)
+        assert kept_service._prep._matrices
+        assert kept[-1].metrics["counters"]["prep.cluster.hits"] == 2
+        for ours, theirs in zip(dropped, kept):
+            assert ours.responses == theirs.responses
+            assert ours.batches == theirs.batches
 
 
 class TestAdmissionEstimate:
@@ -175,6 +301,15 @@ class TestReportSurface:
         assert report.latency_quantile(1.0) == pytest.approx(latencies[-1])
         mid = report.latency_quantile(0.5)
         assert latencies[0] <= mid <= latencies[-1]
+
+
+class TestServeRequest:
+    def test_slotted_frozen_and_picklable(self, adult_dataset):
+        request = ServeRequest(3, "tenant-0", 1.5, adult_dataset.instances[0])
+        assert not hasattr(request, "__dict__")
+        with pytest.raises(AttributeError):
+            request.tenant = "tenant-1"
+        assert pickle.loads(pickle.dumps(request)) == request
 
 
 class TestServeResponse:
