@@ -18,6 +18,7 @@ from repro.serving.request import (
     ANSWER_SOURCES,
     REJECT_REASONS,
     RejectedRequest,
+    ServeLog,
     ServeRequest,
     ServeResponse,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "PreprocessingService",
     "RejectedRequest",
     "ServeConfig",
+    "ServeLog",
     "ServeReport",
     "ServeRequest",
     "ServeResponse",

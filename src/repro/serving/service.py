@@ -43,8 +43,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serving.cache import CachedAnswer, ServingCache
 from repro.serving.request import (
     RejectedRequest,
+    ServeLog,
     ServeRequest,
-    ServeResponse,
 )
 from repro.serving.scheduler import (
     BatchCoalescer,
@@ -94,6 +94,10 @@ class ServeConfig:
         )
 
 
+#: the request ids a :class:`ServeLog` column holds
+_MIN_ID, _MAX_ID = -(2**63), 2**63 - 1
+
+
 class _Question(NamedTuple):
     """What the front door knows about one instance object's question.
 
@@ -125,14 +129,16 @@ class ServeReport:
     """Everything one :meth:`PreprocessingService.serve` run produced.
 
     ``responses``/``rejections`` partition the trace exactly (queue
-    conservation); ``batches`` records every coalesced prompt batch in
-    execution order.  ``metrics`` is the service registry snapshot —
-    cumulative over the service's lifetime, deterministic at any
-    concurrency; ``usage`` is this run's token delta.
+    conservation); ``responses`` is the run's :class:`ServeLog`, whose
+    columns the summary and payload read without building a response.
+    ``batches`` records every coalesced prompt batch in execution order.
+    ``metrics`` is the service registry snapshot — cumulative over the
+    service's lifetime, deterministic at any concurrency; ``usage`` is
+    this run's token delta.
     """
 
     n_requests: int
-    responses: list[ServeResponse]
+    responses: ServeLog
     rejections: list[RejectedRequest]
     batches: list[dict]
     usage: Usage
@@ -150,18 +156,12 @@ class ServeReport:
     def n_rejected(self) -> int:
         return len(self.rejections)
 
-    def _source_counts(self) -> dict[str, int]:
-        counts = {"llm": 0, "shared": 0, "cache": 0}
-        for response in self.responses:
-            counts[response.source] += 1
-        return counts
-
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of served requests answered from the completed cache."""
         if not self.responses:
             return 0.0
-        return self._source_counts()["cache"] / len(self.responses)
+        return self.responses.source_counts()["cache"] / len(self.responses)
 
     @property
     def coalesce_rate(self) -> float:
@@ -178,34 +178,41 @@ class ServeReport:
         """Virtual span from the first arrival to the last completion."""
         if not self.responses:
             return 0.0
-        start = min(r.arrival_s for r in self.responses)
-        return max(r.completed_s for r in self.responses) - start
+        log = self.responses
+        return max(log.completions) - min(log.arrivals)
 
     @property
     def throughput_rps(self) -> float:
-        span = self.makespan_s
-        return self.n_served / span if span > 0 else 0.0
+        return self._throughput(self.makespan_s)
+
+    def _throughput(self, makespan_s: float) -> float:
+        return self.n_served / makespan_s if makespan_s > 0 else 0.0
 
     def latency_quantile(self, q: float) -> float:
-        return _percentile(
-            sorted(r.latency_s for r in self.responses), q
-        )
+        """The exact ``q``-quantile of served latencies; ``q`` in [0, 1]."""
+        if not 0.0 <= q <= 1.0:
+            raise ServingError(
+                f"latency quantile q must be in [0, 1], got {q!r}"
+            )
+        return _percentile(self.responses.sorted_latencies(), q)
 
     def summary(self) -> dict:
-        """The benchmark-facing scalars (BENCH_serving.json rows)."""
-        sources = self._source_counts()
+        """The benchmark-facing scalars (BENCH_serving.json rows): one
+        sort of the latencies, one pass each for the span's ends."""
+        latencies = self.responses.sorted_latencies()
+        makespan_s = self.makespan_s
         return {
             "n_requests": self.n_requests,
             "n_served": self.n_served,
             "n_rejected": self.n_rejected,
             "n_batches": len(self.batches),
-            "sources": sources,
-            "p50_latency_s": self.latency_quantile(0.50),
-            "p99_latency_s": self.latency_quantile(0.99),
-            "throughput_rps": self.throughput_rps,
+            "sources": self.responses.source_counts(),
+            "p50_latency_s": _percentile(latencies, 0.50),
+            "p99_latency_s": _percentile(latencies, 0.99),
+            "throughput_rps": self._throughput(makespan_s),
             "coalesce_rate": self.coalesce_rate,
             "cache_hit_rate": self.cache_hit_rate,
-            "makespan_s": self.makespan_s,
+            "makespan_s": makespan_s,
             "prompt_tokens": self.usage.prompt_tokens,
             "completion_tokens": self.usage.completion_tokens,
             "total_tokens": self.usage.total_tokens,
@@ -216,10 +223,7 @@ class ServeReport:
         payload = {
             "config": self.config,
             "summary": self.summary(),
-            "responses": [
-                r._asdict()
-                for r in sorted(self.responses, key=lambda r: r.request_id)
-            ],
+            "responses": self.responses.dicts_by_request_id(),
             "rejections": [
                 {
                     "request_id": r.request_id,
@@ -398,7 +402,7 @@ class PreprocessingService:
         partition the trace exactly.
         """
         last_arrival = self._check_trace(trace)
-        responses: list[ServeResponse] = []
+        log = ServeLog(self._admission.tenants)
         rejections: list[RejectedRequest] = []
         batches: list[dict] = []
         usage_before = self._stats.usage
@@ -410,18 +414,26 @@ class PreprocessingService:
         # Per arrival: one lookup for everything known about its
         # question.  ``TenantAdmission.admit`` and ``ServingCache.get``
         # stay one call each: bench/layers.py times admission and the
-        # cache by wrapping them.
+        # cache by wrapping them.  A hit appends one row of numbers to
+        # the log; its view is made once per cached answer it reuses.
         questions = self._questions
         coalescer = self._coalescer
         monitor = self._monitor
         due = coalescer.due
         admit = self._admission.admit
         cache_get = self._cache.get
-        respond = responses.append
+        tenant_id = log.tenant_id
+        log_id = log.request_ids.append
+        log_tenant = log.tenant_ids.append
+        log_arrival = log.arrivals.append
+        log_completion = log.completions.append
+        log_view = log.view_ids.append
+        #: question key -> (the cached answer, its view in this log)
+        hit_views: dict[str, tuple[CachedAnswer, int]] = {}
         for request in trace:
             arrival = request.arrival_s
             for flush in due(arrival):
-                self._execute_flush(flush, responses, batches)
+                self._execute_flush(flush, log, batches)
             if monitor is not None and monitor.should_shed(
                 coalescer.backlog_age_s(arrival)
             ):
@@ -443,27 +455,33 @@ class PreprocessingService:
                 continue
             cached = cache_get(key)
             if cached is None:
-                self._enqueue(request, key, responses, rejections, batches)
+                self._enqueue(request, key, log, rejections, batches)
                 continue
-            respond(ServeResponse(
-                request.request_id, request.tenant, arrival,
-                cached.prediction, "cache", arrival,
-                max(arrival, cached.completed_s), None,
-                cached.quarantine_reason,
-            ))
+            hit = hit_views.get(key)
+            if hit is None or hit[0] is not cached:
+                # First reuse of this answer in this run, or the question
+                # was answered again after an eviction.
+                hit = hit_views[key] = (cached, log.cache_view(
+                    cached.prediction, cached.quarantine_reason
+                ))
+            log_id(request.request_id)
+            log_tenant(tenant_id[request.tenant])
+            log_arrival(arrival)
+            log_completion(max(arrival, cached.completed_s))
+            log_view(hit[1])
 
         for flush in coalescer.drain():
-            self._execute_flush(flush, responses, batches)
+            self._execute_flush(flush, log, batches)
 
-        if len(responses) + len(rejections) != len(trace):
+        if len(log) + len(rejections) != len(trace):
             raise ServingError(  # pragma: no cover - internal invariant
                 f"queue conservation violated: {len(trace)} arrived, "
-                f"{len(responses)} served + {len(rejections)} rejected"
+                f"{len(log)} served + {len(rejections)} rejected"
             )
         usage_after = self._stats.usage
         return ServeReport(
             n_requests=len(trace),
-            responses=responses,
+            responses=log,
             rejections=rejections,
             batches=batches,
             usage=Usage(
@@ -514,13 +532,18 @@ class PreprocessingService:
                     f"request {request.request_id} names unknown tenant "
                     f"{request.tenant!r}; known: {', '.join(sorted(tenants))}"
                 )
+            if not _MIN_ID <= request.request_id <= _MAX_ID:
+                raise ServingError(
+                    f"request id {request.request_id} does not fit the "
+                    f"serve log's signed 64-bit column"
+                )
         return last
 
     def _enqueue(
         self,
         request: ServeRequest,
         key: str,
-        responses: list[ServeResponse],
+        log: ServeLog,
         rejections: list[RejectedRequest],
         batches: list[dict],
     ) -> None:
@@ -552,7 +575,7 @@ class PreprocessingService:
         self._pending[key] = entry
         flush = self._coalescer.add(entry)
         if flush is not None:
-            self._execute_flush(flush, responses, batches)
+            self._execute_flush(flush, log, batches)
 
     def _reject(
         self,
@@ -602,10 +625,7 @@ class PreprocessingService:
         return batches
 
     def _execute_flush(
-        self,
-        flush: Flush,
-        responses: list[ServeResponse],
-        batches: list[dict],
+        self, flush: Flush, log: ServeLog, batches: list[dict]
     ) -> None:
         self.metrics.counter(f"serving.flush.{flush.reason}").inc()
         builder = self._builder_for(flush.target)
@@ -654,18 +674,10 @@ class PreprocessingService:
                     quarantine_reason=quarantine_reason,
                 ))
                 del self._pending[entry.key]
-                for position, waiter in enumerate(entry.waiters):
-                    responses.append(ServeResponse(
-                        request_id=waiter.request_id,
-                        tenant=waiter.tenant,
-                        arrival_s=waiter.arrival_s,
-                        prediction=prediction,
-                        source="llm" if position == 0 else "shared",
-                        flushed_s=flush.at,
-                        completed_s=max(waiter.arrival_s, finished),
-                        batch_seq=seq,
-                        quarantine_reason=quarantine_reason,
-                    ))
+                log.log_flushed(
+                    entry.waiters, prediction, flush.at, finished, seq,
+                    quarantine_reason,
+                )
         if self._monitor is not None:
             self._monitor.observe_report(self._executor.report())
             router_shed = getattr(self._client, "should_shed", None)

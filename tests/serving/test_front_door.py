@@ -1,12 +1,16 @@
-"""The serving front door against the one it replaced, differentially.
+"""The serving front door and its response log, differentially.
 
 ``PreprocessingService.serve`` validates a trace before admitting any of
-it, answers an arrival with one lookup of its question handle, and runs
-the cache-hit path inline.  The oracle here is the per-arrival front door
-that came before, kept verbatim: ``serve`` and ``_admit`` with their two
-memos (``_key_of``, ``_tokens_of``).  Admission, the cache, the
-coalescer, flush execution and the executor are shared, so a difference
-in any report or metric is the front door's.
+it, answers an arrival with one lookup of its question handle, runs the
+cache-hit path inline, and logs every answered request as a row of typed
+columns (:class:`~repro.serving.request.ServeLog`).  The oracle here is
+the per-arrival front door that came before, kept verbatim: ``serve`` and
+``_admit`` with their two memos (``_key_of``, ``_tokens_of``), the hit
+path that builds a ``ServeResponse`` per arrival, the ``_execute_flush``
+that appends one per waiter to a list, and the list-walking
+``ServeReport`` summary and payload bodies.  Admission, the cache, the
+coalescer, batch execution and the executor are shared, so a difference
+in any response, report or metric is the front door's or the log's.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PipelineConfig
+from repro.core.pipeline import Quarantined
 from repro.core.tasks import question_line, target_attribute_of
 from repro.data.instances import Instance
 from repro.errors import ServingError
@@ -30,13 +35,95 @@ from repro.serving import (
     ServeRequest,
     TenantBudget,
 )
+from repro.serving.cache import CachedAnswer
 from repro.serving.request import RejectedRequest, ServeResponse
-from repro.serving.scheduler import PendingEntry
-from repro.serving.service import ServeReport
+from repro.serving.scheduler import Flush, PendingEntry
+from repro.serving.service import ServeReport, _percentile
+
+
+class _ReferenceReport(ServeReport):
+    """The report over a list of responses, as it was before the log."""
+
+    def _source_counts(self) -> dict[str, int]:
+        counts = {"llm": 0, "shared": 0, "cache": 0}
+        for response in self.responses:
+            counts[response.source] += 1
+        return counts
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of served requests answered from the completed cache."""
+        if not self.responses:
+            return 0.0
+        return self._source_counts()["cache"] / len(self.responses)
+
+    @property
+    def makespan_s(self) -> float:
+        """Virtual span from the first arrival to the last completion."""
+        if not self.responses:
+            return 0.0
+        start = min(r.arrival_s for r in self.responses)
+        return max(r.completed_s for r in self.responses) - start
+
+    @property
+    def throughput_rps(self) -> float:
+        span = self.makespan_s
+        return self.n_served / span if span > 0 else 0.0
+
+    def latency_quantile(self, q: float) -> float:
+        return _percentile(
+            sorted(r.latency_s for r in self.responses), q
+        )
+
+    def summary(self) -> dict:
+        """The benchmark-facing scalars (BENCH_serving.json rows)."""
+        sources = self._source_counts()
+        return {
+            "n_requests": self.n_requests,
+            "n_served": self.n_served,
+            "n_rejected": self.n_rejected,
+            "n_batches": len(self.batches),
+            "sources": sources,
+            "p50_latency_s": self.latency_quantile(0.50),
+            "p99_latency_s": self.latency_quantile(0.99),
+            "throughput_rps": self.throughput_rps,
+            "coalesce_rate": self.coalesce_rate,
+            "cache_hit_rate": self.cache_hit_rate,
+            "makespan_s": self.makespan_s,
+            "prompt_tokens": self.usage.prompt_tokens,
+            "completion_tokens": self.usage.completion_tokens,
+            "total_tokens": self.usage.total_tokens,
+        }
+
+    def payload(self) -> dict:
+        """The full run as canonical-JSON-ready data (golden snapshots)."""
+        payload = {
+            "config": self.config,
+            "summary": self.summary(),
+            "responses": [
+                r._asdict()
+                for r in sorted(self.responses, key=lambda r: r.request_id)
+            ],
+            "rejections": [
+                {
+                    "request_id": r.request_id,
+                    "tenant": r.tenant,
+                    "arrival_s": r.arrival_s,
+                    "reason": r.reason,
+                }
+                for r in sorted(self.rejections, key=lambda r: r.request_id)
+            ],
+            "batches": self.batches,
+            "metrics": self.metrics,
+        }
+        if self.backend_health is not None:
+            payload["backend_health"] = self.backend_health
+        return payload
 
 
 class _ReferenceService(PreprocessingService):
-    """The service with the front door it had before the handle."""
+    """The service with the front door it had before the handle, logging
+    its responses to a list."""
 
     def __init__(self, client, dataset, budgets, serve_config, pipeline_config):
         super().__init__(
@@ -109,7 +196,7 @@ class _ReferenceService(PreprocessingService):
                 f"{len(responses)} served + {len(rejections)} rejected"
             )
         usage_after = self._stats.usage
-        return ServeReport(
+        return _ReferenceReport(
             n_requests=len(trace),
             responses=responses,
             rejections=rejections,
@@ -203,6 +290,77 @@ class _ReferenceService(PreprocessingService):
         if flush is not None:
             self._execute_flush(flush, responses, batches)
 
+    def _execute_flush(
+        self,
+        flush: Flush,
+        responses: list[ServeResponse],
+        batches: list[dict],
+    ) -> None:
+        self.metrics.counter(f"serving.flush.{flush.reason}").inc()
+        builder = self._builder_for(flush.target)
+        fewshot = self._fewshot_for(flush.target)
+        for positions in self._partition(flush):
+            entries = [flush.entries[p] for p in positions]
+            # Reset the finish high-water mark so this batch's completion
+            # time can be read back after the call.
+            self._stats.last_finish_s = flush.at
+            answers = self._preprocessor.answer_batch(
+                builder,
+                [entry.instance for entry in entries],
+                fewshot,
+                self._dataset.task,
+                self._stats,
+                self._executor,
+                ready_at=flush.at,
+            )
+            finished = self._stats.last_finish_s
+            seq = self._batch_seq
+            self._batch_seq += 1
+            self.metrics.counter("serving.batches").inc()
+            self.metrics.histogram(
+                "serving.batch_size", buckets=(1, 2, 4, 8, 16, 32)
+            ).observe(len(entries))
+            batches.append({
+                "seq": seq,
+                "at": flush.at,
+                "reason": flush.reason,
+                "target": flush.target,
+                "n_entries": len(entries),
+                "n_requests": sum(len(e.waiters) for e in entries),
+                "keys": [entry.key for entry in entries],
+            })
+            for entry, answer in zip(entries, answers):
+                if isinstance(answer, Quarantined):
+                    prediction: bool | str | None = None
+                    quarantine_reason: str | None = answer.reason
+                    self.metrics.counter("serving.quarantined").inc()
+                else:
+                    prediction = answer
+                    quarantine_reason = None
+                self._cache.put(entry.key, CachedAnswer(
+                    prediction=prediction,
+                    completed_s=finished,
+                    quarantine_reason=quarantine_reason,
+                ))
+                del self._pending[entry.key]
+                for position, waiter in enumerate(entry.waiters):
+                    responses.append(ServeResponse(
+                        request_id=waiter.request_id,
+                        tenant=waiter.tenant,
+                        arrival_s=waiter.arrival_s,
+                        prediction=prediction,
+                        source="llm" if position == 0 else "shared",
+                        flushed_s=flush.at,
+                        completed_s=max(waiter.arrival_s, finished),
+                        batch_seq=seq,
+                        quarantine_reason=quarantine_reason,
+                    ))
+        if self._monitor is not None:
+            self._monitor.observe_report(self._executor.report())
+            router_shed = getattr(self._client, "should_shed", None)
+            if callable(router_shed):
+                self._monitor.observe_router(router_shed(flush.at))
+
 
 #: an Adult question line is ~110-130 tokens, so the tight end of these
 #: budgets refuses on tokens as well as on requests; half the draws are
@@ -284,7 +442,9 @@ def test_serve_equals_the_reference_front_door(adult_dataset, scenario):
     for trace in _traces(rows, cuts, questions, twins):
         ours = service.serve(trace)
         theirs = reference.serve(trace)
-        assert ours.responses == theirs.responses
+        assert list(ours.responses) == theirs.responses
         assert ours.rejections == theirs.rejections
         assert ours.payload() == theirs.payload()
         assert service.metrics.snapshot() == reference.metrics.snapshot()
+        for q in (0.0, 0.3, 0.5, 0.99, 1.0):
+            assert ours.latency_quantile(q) == theirs.latency_quantile(q)
