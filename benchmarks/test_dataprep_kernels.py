@@ -49,7 +49,7 @@ from benchmarks.conftest import run_once
 from repro.eval.reporting import render_table
 from repro.llm.knowledge import KnowledgeBase
 from repro.ml.kmeans import KMeans
-from repro.testing.reference import embed_all_reference, levenshtein_reference
+from tests.oracles import embed_all_reference, levenshtein_reference
 from repro.text.embeddings import HashingEmbedder, clear_hash_cache, hash_cache_size
 from repro.text.similarity import levenshtein
 

@@ -13,8 +13,8 @@ from pathlib import Path
 
 from benchmarks.conftest import run_once
 from repro.eval.reporting import render_table
-from repro.flow import run_reference_flow
 from repro.obs.manifest import canonical_json
+from tests.fixtures import run_reference_flow
 
 OUT_PATH = Path("BENCH_flow.json")
 

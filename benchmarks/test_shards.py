@@ -28,7 +28,7 @@ from repro.datasets import load_dataset
 from repro.llm.backend import SimulatedBackend
 from repro.obs.manifest import canonical_json
 from repro.shard.runner import run_sharded
-from repro.testing.reference import decode_microbench
+from tests.oracles import decode_microbench
 
 OUT_PATH = Path("BENCH_shards.json")
 

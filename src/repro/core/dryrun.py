@@ -47,12 +47,6 @@ class CostEstimate:
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
 
-    @property
-    def tokens_per_instance(self) -> float:
-        if self.n_instances == 0:
-            return 0.0
-        return self.total_tokens / self.n_instances
-
     def __str__(self) -> str:
         return (
             f"{self.model}: {self.n_instances} instances in "

@@ -9,8 +9,6 @@ task-specific templates playing the role of the human labeler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.data.instances import (
     DIInstance,
     EDInstance,
@@ -20,15 +18,6 @@ from repro.data.instances import (
 )
 from repro.core.tasks import question_text
 from repro.errors import PromptError
-
-
-@dataclass(frozen=True)
-class RenderedExample:
-    """One few-shot example: its question and its (reason, answer) lines."""
-
-    question: str
-    reason: str
-    answer: str
 
 
 def example_answer(instance: Instance) -> str:

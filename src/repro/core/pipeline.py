@@ -74,8 +74,8 @@ class Exchange:
 
     Carries the exact prompt messages (role/content pairs), the raw model
     reply, and how many answers the parser was asked to extract — enough
-    for :mod:`repro.testing.replay` to re-run the parsing stack against
-    the recorded reply without touching the pipeline.
+    for the differential replay to re-run the parsing stack against the
+    recorded reply without touching the pipeline.
     """
 
     messages: tuple[tuple[str, str], ...]

@@ -15,12 +15,6 @@ from repro.data.instances import (
     SMInstance,
     Task,
 )
-from repro.data.io import (
-    read_csv,
-    read_jsonl,
-    write_csv,
-    write_jsonl,
-)
 
 __all__ = [
     "Attribute",
@@ -36,8 +30,4 @@ __all__ = [
     "SMInstance",
     "EMInstance",
     "PreprocessingDataset",
-    "read_csv",
-    "write_csv",
-    "read_jsonl",
-    "write_jsonl",
 ]

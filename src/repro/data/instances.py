@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from repro.data.records import AttributePair, Record, RecordPair
-from repro.data.schema import Schema
 from repro.errors import DatasetError
 
 
@@ -205,14 +204,3 @@ def ground_truth_labels(instances: Sequence[Instance]) -> list[bool | str]:
         else:
             labels.append(inst.label)
     return labels
-
-
-def schema_of(instance: Instance) -> Schema:
-    """The (left) schema an instance's textual content lives in."""
-    if isinstance(instance, (EDInstance, DIInstance)):
-        return instance.record.schema
-    if isinstance(instance, EMInstance):
-        return instance.pair.left.schema
-    if isinstance(instance, SMInstance):
-        return Schema.from_names("attribute_pair", ["name", "description"])
-    raise DatasetError(f"unknown instance type: {type(instance).__name__}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
-from repro.data.schema import Attribute, AttrType, Schema
+from repro.data.schema import Attribute, Schema
 from repro.errors import RecordError, SchemaError
 
 #: Cell values are numbers, strings, or missing.
@@ -37,6 +37,8 @@ def coerce_cell(value: Any, attr: Attribute) -> CellValue:
                 as_float = float(value)
             except ValueError:
                 return value  # an out-of-type value is data, not an error here
+            if as_float != as_float:
+                return value  # "nan" parses, but a NaN cell never equals itself
             return int(as_float) if as_float.is_integer() else as_float
         return value
     if isinstance(value, bool):
@@ -247,31 +249,3 @@ class Table:
             for i, row in enumerate(rows)
         ]
         return cls(schema, records)
-
-
-def infer_schema(name: str, rows: list[Mapping[str, Any]]) -> Schema:
-    """Infer a schema from raw rows: numeric if every non-missing value parses.
-
-    Intended for loading external CSVs whose types are unknown.
-    """
-    if not rows:
-        raise SchemaError("cannot infer a schema from zero rows")
-    names: list[str] = list(rows[0].keys())
-    types: dict[str, AttrType] = {}
-    for attr_name in names:
-        numeric = True
-        saw_value = False
-        for row in rows:
-            value = row.get(attr_name)
-            if value is None or value == "":
-                continue
-            saw_value = True
-            try:
-                float(value)
-            except (TypeError, ValueError):
-                numeric = False
-                break
-        types[attr_name] = (
-            AttrType.NUMERIC if (numeric and saw_value) else AttrType.TEXT
-        )
-    return Schema.from_names(name, names, types)

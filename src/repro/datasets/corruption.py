@@ -131,17 +131,6 @@ def numeric_outlier(
     return Corruption(original=original, corrupted=corrupted, kind="numeric_outlier")
 
 
-def value_swap(a: str, b: str) -> tuple[Corruption, Corruption]:
-    """Exchange two distinct cell values within a record."""
-    a, b = str(a), str(b)
-    if a == b:
-        raise DatasetError("cannot swap two equal values")
-    return (
-        Corruption(original=a, corrupted=b, kind="value_swap"),
-        Corruption(original=b, corrupted=a, kind="value_swap"),
-    )
-
-
 def _format_number(x: float) -> str:
     if float(x).is_integer():
         return str(int(x))

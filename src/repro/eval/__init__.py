@@ -5,7 +5,6 @@ from repro.eval.metrics import (
     accuracy,
     confusion_counts,
     f1_score,
-    precision_recall_f1,
     score_predictions,
 )
 from repro.eval.analysis import (
@@ -21,7 +20,6 @@ __all__ = [
     "render_execution_report",
     "accuracy",
     "f1_score",
-    "precision_recall_f1",
     "confusion_counts",
     "BinaryMetrics",
     "score_predictions",

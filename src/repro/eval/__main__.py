@@ -52,6 +52,7 @@ import argparse
 import json
 import sys
 
+from repro.errors import ReproError
 from repro.eval import experiments
 from repro.eval.reporting import render_table
 
@@ -140,12 +141,10 @@ def _cmd_run_sharded(args: argparse.Namespace) -> int:
     """
     from repro import PipelineConfig, load_dataset
     from repro.data.instances import ground_truth_labels
-    from repro.errors import ShardError
     from repro.eval.metrics import score_answered
     from repro.eval.reporting import format_score_with_coverage
     from repro.llm.backend import SimulatedBackend
     from repro.llm.profiles import get_profile
-    from repro.runtime import JournalError
     from repro.shard import run_sharded
 
     dataset = load_dataset(args.dataset, size=args.size, seed=args.seed)
@@ -158,16 +157,12 @@ def _cmd_run_sharded(args: argparse.Namespace) -> int:
     )
     backend = SimulatedBackend(model=args.model, seed=args.seed)
     workdir = args.resume or args.journal
-    try:
-        run = run_sharded(
-            backend, config, dataset,
-            n_shards=args.shards,
-            workers=args.workers,
-            workdir=workdir,
-        )
-    except (ShardError, JournalError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    run = run_sharded(
+        backend, config, dataset,
+        n_shards=args.shards,
+        workers=args.workers,
+        workdir=workdir,
+    )
     merged = run.merged
     labels = ground_truth_labels(dataset.instances)
     score, n_scored = score_answered(
@@ -232,8 +227,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     checkpoint = None
     journal_path = args.resume or args.journal
-    from repro.runtime import JournalError
-
     if journal_path:
         from repro.runtime import RunCheckpoint
 
@@ -260,16 +253,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         client = pool.build()
         executor_config = ExecutorConfig(resilience=pool.resilience)
-    try:
-        run = evaluate_pipeline(
-            client, config, dataset,
-            manifest_path=args.manifest,
-            checkpoint=checkpoint,
-            executor_config=executor_config,
-        )
-    except JournalError as error:  # mismatched or damaged journal
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    run = evaluate_pipeline(
+        client, config, dataset,
+        manifest_path=args.manifest,
+        checkpoint=checkpoint,
+        executor_config=executor_config,
+    )
     score_text = format_score_with_coverage(run.score, run.coverage)
     print(
         f"{args.dataset} / {args.model}: {run.metric_name} {score_text}, "
@@ -425,11 +414,9 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.core.config import PipelineConfig
-    from repro.errors import ConfigError
     from repro.flow import FlowEngine, load_flow_spec, reference_spec
     from repro.llm.simulated import SimulatedLLM
     from repro.obs.manifest import canonical_json
-    from repro.runtime import JournalError
 
     try:
         if args.reference:
@@ -444,9 +431,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except OSError as error:
         print(f"error: cannot read {args.spec}: {error}", file=sys.stderr)
         return 2
@@ -467,28 +451,24 @@ def _cmd_flow(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    try:
-        overrides = dict(spec.config)
-        overrides["concurrency"] = args.concurrency
-        config = PipelineConfig(**overrides)
-        if args.workers > 1:
-            # Parallel stages require hermetic per-stage clients; the
-            # backend builds one in each worker process.
-            from repro.llm.backend import SimulatedBackend
+    overrides = dict(spec.config)
+    overrides["concurrency"] = args.concurrency
+    config = PipelineConfig(**overrides)
+    if args.workers > 1:
+        # Parallel stages require hermetic per-stage clients; the
+        # backend builds one in each worker process.
+        from repro.llm.backend import SimulatedBackend
 
-            engine = FlowEngine(
-                None, config, workdir=args.workdir,
-                backend=SimulatedBackend(model=config.model, seed=args.seed),
-                workers=args.workers,
-            )
-        else:
-            client = SimulatedLLM(config.model, seed=args.seed)
-            engine = FlowEngine(client, config, workdir=args.workdir)
-        tables, __ = spec.build_inputs()
-        result = engine.run(spec.graph, tables)
-    except (ConfigError, JournalError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        engine = FlowEngine(
+            None, config, workdir=args.workdir,
+            backend=SimulatedBackend(model=config.model, seed=args.seed),
+            workers=args.workers,
+        )
+    else:
+        client = SimulatedLLM(config.model, seed=args.seed)
+        engine = FlowEngine(client, config, workdir=args.workdir)
+    tables, __ = spec.build_inputs()
+    result = engine.run(spec.graph, tables)
     print(f"flow {spec.name}: {len(result.order)} stage(s)")
     for name in result.order:
         stage = result.stages[name]
@@ -530,7 +510,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     """
     import hashlib
 
-    from repro.errors import ConfigError, DatasetError
+    from repro.errors import ConfigError
     from repro.factory import DatasetFactory, preset, load_schema_file
     from repro.factory.presets import PRESET_NAMES
     from repro.obs.manifest import canonical_json
@@ -564,9 +544,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         finally:
             if out is not None:
                 out.close()
-    except (ConfigError, DatasetError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -754,7 +731,13 @@ def main(argv: list[str] | None = None) -> int:
                                "hermetic per-stage client)")
     flow_cmd.set_defaults(handler=_cmd_flow)
     args = parser.parse_args(argv)
-    return args.handler(args) or 0
+    try:
+        return args.handler(args) or 0
+    except ReproError as error:
+        # One exit for every typed failure: a bad dataset, config,
+        # journal, manifest or shard plan is a usage error, not a crash.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -64,13 +64,6 @@ def confusion_counts(
     return BinaryMetrics(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def precision_recall_f1(
-    predictions: Sequence[bool], labels: Sequence[bool]
-) -> tuple[float, float, float]:
-    metrics = confusion_counts(predictions, labels)
-    return metrics.precision, metrics.recall, metrics.f1
-
-
 def f1_score(predictions: Sequence[bool], labels: Sequence[bool]) -> float:
     """F1 of the positive class, in [0, 1]."""
     return confusion_counts(predictions, labels).f1

@@ -61,13 +61,6 @@ def format_score_with_coverage(score: float | None, coverage: float) -> str:
     return f"{text} @ {coverage * 100:.1f}% coverage"
 
 
-def side_by_side(measured: str, paper: float | str | None) -> str:
-    """A ``measured (paper X)`` cell for reproduction comparisons."""
-    if paper is None:
-        return measured
-    return f"{measured} ({paper})"
-
-
 def render_execution_report(report: ExecutionReport) -> str:
     """Render an executor run as a per-lane utilization table.
 

@@ -7,11 +7,7 @@ generator whose every row and instance is a pure function of
 ``(schema fingerprint, size, seed)``.  See ``DESIGN.md`` §15.
 """
 
-from repro.factory.adapter import (
-    SchemaGenerator,
-    register_schema,
-    schema_generator_from_file,
-)
+from repro.factory.adapter import SchemaGenerator, schema_generator_from_file
 from repro.factory.generate import DatasetFactory, TableStream
 from repro.factory.instances import InstanceFactory
 from repro.factory.model import (
@@ -57,6 +53,5 @@ __all__ = [
     "load_schema_file",
     "merged_column",
     "preset",
-    "register_schema",
     "schema_generator_from_file",
 ]

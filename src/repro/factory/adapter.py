@@ -84,23 +84,6 @@ class SchemaGenerator(DatasetGenerator):
         return DatasetFactory(self.schema, seed=seed)
 
 
-def register_schema(
-    schema: FactorySchema, name: str | None = None
-) -> SchemaGenerator:
-    """Register a factory schema in the dataset registry.
-
-    Returns the generator; ``load_dataset(schema.name)`` works from then
-    on.  Distinct schemas may even share a registered name *sequentially*
-    (tests re-register): the cache can't alias them because the key
-    carries the fingerprint.
-    """
-    from repro.datasets.registry import register_dataset
-
-    generator = SchemaGenerator(schema, name=name)
-    register_dataset(generator)
-    return generator
-
-
 def schema_generator_from_file(path: str) -> SchemaGenerator:
     """A generator for a schema file — the ``schema:<path>`` dataset path."""
     return SchemaGenerator(load_schema_file(path))

@@ -39,12 +39,7 @@ from repro.flow.provenance import (
     QuarantineMark,
     StageProvenance,
 )
-from repro.flow.reference import (
-    REFERENCE_FLOW_DOC,
-    REFERENCE_FLOW_YAML,
-    reference_spec,
-    run_reference_flow,
-)
+from repro.flow.reference import REFERENCE_FLOW_DOC, reference_spec
 from repro.flow.spec import (
     CorruptionSpec,
     FlowSpec,
@@ -79,9 +74,7 @@ __all__ = [
     "QuarantineMark",
     "StageProvenance",
     "REFERENCE_FLOW_DOC",
-    "REFERENCE_FLOW_YAML",
     "reference_spec",
-    "run_reference_flow",
     "CorruptionSpec",
     "FlowSpec",
     "InputSpec",

@@ -286,16 +286,6 @@ class FlowGraph:
 
     # -- introspection ----------------------------------------------------
 
-    def downstream_of(self, name: str) -> tuple[str, ...]:
-        """Stages that (directly) consume ``name``'s output, sorted."""
-        if name not in self.stages:
-            raise ConfigError(f"unknown stage {name!r}")
-        return tuple(sorted(
-            other.name
-            for other in self.stages.values()
-            if name in other.upstream_stages()
-        ))
-
     def spec_payload(self) -> dict:
         """The whole graph as canonical plain data (fingerprint input)."""
         return {

@@ -223,10 +223,3 @@ class QuarantineMark:
     @classmethod
     def from_payload(cls, payload: dict) -> "QuarantineMark":
         return cls(**payload)
-
-
-def marks_by_row(marks: list[QuarantineMark]) -> dict[int, list[QuarantineMark]]:
-    grouped: dict[int, list[QuarantineMark]] = {}
-    for mark in sorted(marks, key=lambda m: (m.row, m.attribute, m.stage)):
-        grouped.setdefault(mark.row, []).append(mark)
-    return grouped

@@ -13,11 +13,9 @@ from the solvers' mechanistic limits plus profile noise.
 
 from repro.llm.backend import (
     Backend,
-    CachingBackend,
     Checkpointable,
     DegradedBackend,
     FaultBackend,
-    GarblingBackend,
     SimulatedBackend,
 )
 from repro.llm.base import (
@@ -33,20 +31,18 @@ from repro.llm.faults import (
     FaultInjectingClient,
     GarblingClient,
 )
-from repro.llm.profiles import ModelProfile, get_profile, list_profiles
+from repro.llm.profiles import ModelProfile, get_profile
 from repro.llm.promptparse import PromptParseMemo
 from repro.llm.simulated import SimulatedLLM
 
 __all__ = [
     "Backend",
-    "CachingBackend",
     "Checkpointable",
     "DegradedBackend",
     "DegradedClient",
     "Fault",
     "FaultBackend",
     "FaultInjectingClient",
-    "GarblingBackend",
     "GarblingClient",
     "ChatMessage",
     "CompletionRequest",
@@ -57,6 +53,5 @@ __all__ = [
     "LLMClient",
     "ModelProfile",
     "get_profile",
-    "list_profiles",
     "SimulatedLLM",
 ]

@@ -21,8 +21,8 @@ Two protocols live here:
   for free, with no per-class knowledge in the runtime.
 
 The concrete backends mirror the client stack: a simulated model, the
-fault injector, the garbling client, and the LRU response cache, each
-wrapping an inner backend so stacks compose the way the clients do::
+fault injector and the degraded upstream, each wrapping an inner backend
+so stacks compose the way the clients do::
 
     FaultBackend(SimulatedBackend("gpt-4", seed=7), plan={3: Fault(...)})
 """
@@ -34,7 +34,7 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.errors import LLMError
 from repro.llm.base import LLMClient
-from repro.llm.faults import Fault
+from repro.llm.faults import Fault, plan_key_type
 from repro.resilience.degradation import DegradationPlan
 
 
@@ -105,7 +105,11 @@ class FaultBackend:
     ``plan`` must be a *mapping* plan (positional ``{call_index: Fault}``
     or fingerprint-keyed ``{fingerprint: Fault | schedule}``) — callable
     plans cannot cross a process boundary and are rejected here, at
-    backend construction, rather than at pickling time in a worker.
+    backend construction, rather than at pickling time in a worker.  Keys
+    go through the injector's own check
+    (:func:`~repro.llm.faults.plan_key_type`), so a plan that
+    :class:`~repro.llm.faults.FaultInjectingClient` would refuse is
+    refused here too, not at ``build()`` inside a worker.
     """
 
     inner: Backend
@@ -122,10 +126,11 @@ class FaultBackend:
                 "FaultBackend needs a mapping fault plan; a callable plan "
                 "cannot be pickled across worker processes"
             )
-        items = plan.items() if isinstance(plan, Mapping) else tuple(plan)
+        items = tuple(plan.items() if isinstance(plan, Mapping) else plan)
+        positional = plan_key_type(key for key, __ in items) is int
         normalized = []
         for key, scheduled in items:
-            if isinstance(key, int) and not isinstance(scheduled, Fault):
+            if positional and not isinstance(scheduled, Fault):
                 raise LLMError(
                     "a positional fault-plan entry maps one call index to "
                     "one Fault; schedules are for fingerprint keys"
@@ -160,35 +165,6 @@ class FaultBackend:
 
 
 @dataclass(frozen=True)
-class GarblingBackend:
-    """Builds a :class:`~repro.llm.faults.GarblingClient`."""
-
-    inner: Backend
-    triggers: tuple[str, ...] = ()
-    reply: str = "I cannot help with that."
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "triggers", tuple(str(t) for t in self.triggers)
-        )
-
-    def build(self) -> LLMClient:
-        from repro.llm.faults import GarblingClient
-
-        return GarblingClient(
-            self.inner.build(), triggers=self.triggers, reply=self.reply
-        )
-
-    def describe(self) -> dict:
-        return {
-            "kind": "garbling",
-            "inner": self.inner.describe(),
-            "triggers": list(self.triggers),
-            "reply": self.reply,
-        }
-
-
-@dataclass(frozen=True)
 class DegradedBackend:
     """Builds a :class:`~repro.llm.faults.DegradedClient`.
 
@@ -215,24 +191,4 @@ class DegradedBackend:
             "inner": self.inner.describe(),
             "name": self.name,
             "plan": self.plan.payload(),
-        }
-
-
-@dataclass(frozen=True)
-class CachingBackend:
-    """Builds a :class:`~repro.llm.cache.CachingClient` (per-process LRU)."""
-
-    inner: Backend
-    max_entries: int = 4096
-
-    def build(self) -> LLMClient:
-        from repro.llm.cache import CachingClient
-
-        return CachingClient(self.inner.build(), max_entries=self.max_entries)
-
-    def describe(self) -> dict:
-        return {
-            "kind": "caching",
-            "inner": self.inner.describe(),
-            "max_entries": self.max_entries,
         }

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import (
     InjectedCrashError,
@@ -109,6 +109,23 @@ class Fault:
 FaultSchedule = Sequence["Fault | None"]
 
 
+def plan_key_type(keys: Iterable) -> type:
+    """``int`` for a positional plan's keys, ``str`` for a fingerprint plan's.
+
+    An empty plan is positional.  Any other key type, or a mix of the two,
+    raises :class:`~repro.errors.LLMError`.
+    """
+    key_types = {type(key) for key in keys}
+    if key_types <= {int}:
+        return int
+    if key_types <= {str}:
+        return str
+    raise LLMError(
+        "a fault plan mapping must be keyed entirely by call index (int) "
+        "or entirely by request fingerprint (str)"
+    )
+
+
 class FaultInjectingClient(ClientWrapper):
     """Applies a scripted fault plan in front of another client.
 
@@ -135,21 +152,15 @@ class FaultInjectingClient(ClientWrapper):
         if callable(plan):
             self._plan: FaultPlan | None = plan
         elif isinstance(plan, Mapping):
-            key_types = {type(key) for key in plan}
-            if key_types <= {int}:
+            if plan_key_type(plan) is int:
                 indexed = dict(plan)
                 self._plan = lambda index: indexed.get(index)
-            elif key_types <= {str}:
+            else:
                 self._plan = None
                 for fingerprint, scheduled in plan.items():
                     if isinstance(scheduled, Fault):
                         scheduled = (scheduled,)
                     self._by_fingerprint[fingerprint] = tuple(scheduled)
-            else:
-                raise LLMError(
-                    "a fault plan mapping must be keyed entirely by call "
-                    "index (int) or entirely by request fingerprint (str)"
-                )
         else:
             raise LLMError(f"cannot interpret fault plan {plan!r}")
         self.n_calls = 0
@@ -396,15 +407,3 @@ class DegradedClient(ClientWrapper):
         self.n_overloads = int(state["n_overloads"])
         self.n_blackouts = int(state["n_blackouts"])
         self.n_slowed = int(state["n_slowed"])
-
-
-def fail_first(n: int, fault: Fault) -> FaultPlan:
-    """A plan injecting ``fault`` on the first ``n`` calls."""
-    return lambda index: fault if index <= n else None
-
-
-def fail_every(k: int, fault: Fault) -> FaultPlan:
-    """A plan injecting ``fault`` on every ``k``-th call."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return lambda index: fault if index % k == 0 else None

@@ -218,8 +218,3 @@ def get_profile(name: str) -> ModelProfile:
     if name not in _PROFILES:
         raise UnknownModelError(name, list(_PROFILES))
     return _PROFILES[name]
-
-
-def list_profiles() -> list[str]:
-    """Names of all registered model profiles."""
-    return sorted(_PROFILES)

@@ -112,8 +112,7 @@ class PromptParseMemo:
     parse of one (user, assistant) pair, a solver's fit over the example
     content — is a pure, RNG-free function of the cache key given the
     client's fixed profile and knowledge.  The memo-free reference
-    decoder in :mod:`repro.testing.reference` is the oracle it is tested
-    against.
+    decoder in ``tests/oracles.py`` is the oracle it is tested against.
 
     All cached values are frozen dataclasses (or tuples of them), shared
     safely across the :class:`ParsedPrompt` results, which keep their own

@@ -230,7 +230,7 @@ class SlidingWindowBudget:
         returns ``"rpm"`` or ``"tpm"`` (and records nothing) when it does
         not.  ``now`` must be nondecreasing across calls.
         """
-        if now < self._last_now:
+        if not now >= self._last_now:  # a NaN ``now`` is refused too
             raise ValueError(
                 f"admission times must be nondecreasing: got {now:.3f} "
                 f"after {self._last_now:.3f}"

@@ -56,8 +56,8 @@ class SimulatedLLM:
     then replayed for every request that carries it.  The memo caches only
     pure, RNG-free functions of message content given this client's fixed
     profile and knowledge, so it changes host-CPU cost and nothing else;
-    the memo-free reference decoder in :mod:`repro.testing.reference` is
-    the oracle that pins replies, usage and latency.
+    the memo-free reference decoder in ``tests/oracles.py`` is the oracle
+    that pins replies, usage and latency.
     """
 
     def __init__(self, model: str | ModelProfile = "gpt-3.5", seed: int = 0):

@@ -39,9 +39,6 @@ from repro.text.normalize import expand_abbreviations, extract_phone, normalize_
 from repro.text.similarity import token_set_ratio
 
 _NUMBER_RE = re.compile(r"^-?[\d.,$%:]+$")
-_CODE_RE = re.compile(r"\b(?=\w*\d)(?=\w*[a-z])\w{3,}\b|\b\d+(?:\.\d+)?\b")
-
-
 _MODEL_CODE_RE = re.compile(r"^[a-z0-9\-]{2,12}$")
 _DURATION_RE = re.compile(r"^\d{1,2}:\d{2}$")
 

@@ -2,21 +2,18 @@
 
 Implements exactly the learners the baselines and the framework need:
 logistic regression (Magellan/HoloDetect-style classifiers), k-means
-(cluster batching), k-nearest neighbours (IMP-style imputation), and a
-multinomial naive Bayes (categorical error detection).
+(cluster batching), a multinomial naive Bayes (categorical error
+detection) and feature standardization.
 """
 
 from repro.ml.logistic import LogisticRegression
 from repro.ml.kmeans import KMeans
-from repro.ml.knn import KNNClassifier, KNNImputer
 from repro.ml.naive_bayes import MultinomialNB
 from repro.ml.scaling import StandardScaler
 
 __all__ = [
     "LogisticRegression",
     "KMeans",
-    "KNNClassifier",
-    "KNNImputer",
     "MultinomialNB",
     "StandardScaler",
 ]

@@ -112,10 +112,3 @@ class LogisticRegression:
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 predictions at the given probability threshold."""
         return (self.predict_proba(X) >= threshold).astype(np.int64)
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Raw logits (useful for ranking candidates)."""
-        if not self.is_fitted:
-            raise ReproError("decision_function called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        return X @ self.coef_ + self.intercept_

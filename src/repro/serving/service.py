@@ -515,7 +515,9 @@ class PreprocessingService:
         task = self._dataset.task
         tenants = set(self._admission.tenants)
         for request in trace:
-            if request.arrival_s < last:
+            # ``not >=`` so that a NaN arrival, which compares false
+            # either way, is refused where it arrives.
+            if not request.arrival_s >= last:
                 raise ServingError(
                     f"trace is not sorted: request {request.request_id} "
                     f"arrives at {request.arrival_s:.3f} after {last:.3f}"

@@ -109,13 +109,6 @@ class ShardPlan:
     n_shards: int
     shards: tuple[ShardSpec, ...]
 
-    def shard_for_index(self, index: int) -> int:
-        """The shard owning global instance ``index``."""
-        for spec in self.shards:
-            if index in spec.indices:
-                return spec.shard_id
-        raise ShardError(f"index {index} is not covered by this plan")
-
     @property
     def nonempty_shards(self) -> tuple[ShardSpec, ...]:
         return tuple(spec for spec in self.shards if spec.indices)

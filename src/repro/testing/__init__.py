@@ -1,22 +1,20 @@
-"""Conformance tooling: golden snapshots, differential replay, fuzzing.
+"""Conformance tooling: golden snapshots and fuzzing.
 
 This subpackage is the repo's answer to "did that refactor change
-behavior?".  Three layers, each cheaper than the last:
+behavior?":
 
 * :mod:`repro.testing.golden` — byte-exact recordings of full pipeline
-  runs (prompts, raw replies, predictions, metrics) with a structured
-  diff and a record/verify CLI (``python -m repro.eval golden``);
-* :mod:`repro.testing.replay` — re-runs only the parsing stack over the
-  replies a snapshot recorded, so parser refactors are validated in
-  milliseconds, plus the mutation-canary loader that proves the harness
-  catches single-character parser edits;
+  runs (prompts, raw replies with their strict and lenient parse
+  outcomes, predictions, metrics) with a structured diff and a
+  record/verify CLI (``python -m repro.eval golden``);
 * :mod:`repro.testing.fuzz` — seeded generation of malformed replies
   (``python -m repro.eval fuzz``) checking the parser's crash-freedom
   and shape invariants.
 
-:mod:`repro.testing.reference` holds the oracles the fast paths are
-checked against: the memo-free reference decoder (with its decode
-microbench) and the row-by-row embedding reference.
+Code that only tests run lives under ``tests/``: the differential replay
+of the recorded replies and its mutation canary
+(``tests/testing/replay.py``), and the slow reference oracles the fast
+paths are checked against (``tests/oracles.py``).
 """
 
 from repro.testing.fuzz import (
@@ -51,15 +49,6 @@ from repro.testing.golden import (
     render_diffs,
     write_diff_artifact,
 )
-from repro.testing.replay import (
-    ReplayError,
-    ReplayMismatch,
-    ReplayReport,
-    load_mutated_parsing,
-    parse_outcomes,
-    replay_exchanges,
-    replay_snapshot,
-)
 
 __all__ = [
     "ALL_GOLDEN_CELLS",
@@ -84,13 +73,6 @@ __all__ = [
     "flow_cell_fixture",
     "render_diffs",
     "write_diff_artifact",
-    "ReplayError",
-    "ReplayMismatch",
-    "ReplayReport",
-    "load_mutated_parsing",
-    "parse_outcomes",
-    "replay_exchanges",
-    "replay_snapshot",
     "OPERATORS",
     "FuzzCase",
     "FuzzReport",

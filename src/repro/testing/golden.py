@@ -28,11 +28,18 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from types import ModuleType
 
+from repro.core import parsing as _live_parsing
 from repro.core.config import PipelineConfig
-from repro.errors import ReproError
-from repro.obs.manifest import GoldenDiff, canonical_json, diff_payloads
-from repro.testing.replay import parse_outcomes
+from repro.data.instances import Task
+from repro.errors import AnswerFormatError, ReproError
+from repro.obs.manifest import (
+    GoldenDiff,
+    canonical_json,
+    diff_payloads,
+    jsonable,
+)
 
 GOLDEN_VERSION = 1
 
@@ -42,6 +49,30 @@ GOLDEN_DIFF_ENV = "REPRO_GOLDEN_DIFF_PATH"
 
 class GoldenError(ReproError):
     """A golden snapshot could not be captured, stored, or compared."""
+
+
+def parse_outcomes(
+    reply: str,
+    task: Task,
+    expected: int,
+    parsing_module: ModuleType | None = None,
+) -> dict:
+    """Run the strict and lenient parser stacks over one recorded reply.
+
+    Returns a JSON-native record — ``{"strict": {"ok": [...]}}`` or
+    ``{"strict": {"error": "..."}}`` plus ``{"lenient": [...]}`` — so the
+    result compares ``==`` against what a snapshot loaded from disk holds.
+    Any exception other than :class:`AnswerFormatError` propagates: the
+    strict parser raising something else is itself a conformance bug.
+    """
+    module = parsing_module if parsing_module is not None else _live_parsing
+    strict: dict
+    try:
+        strict = {"ok": module.parse_batch_answers(reply, task, expected)}
+    except AnswerFormatError as err:
+        strict = {"error": str(err)}
+    lenient = module.parse_batch_answers_lenient(reply, task, expected)
+    return {"strict": jsonable(strict), "lenient": jsonable(lenient)}
 
 
 @dataclass(frozen=True)

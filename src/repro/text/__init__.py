@@ -5,15 +5,13 @@ reproduction environment has no network access: these modules stand in for
 the external NLP tooling (tokenizers, Sentence-BERT) the paper relies on.
 """
 
-from repro.text.normalize import normalize_text, normalize_token, strip_accents
+from repro.text.normalize import normalize_text, strip_accents
 from repro.text.similarity import (
-    cosine_similarity,
     jaccard,
     jaro_winkler,
     levenshtein,
     levenshtein_similarity,
     monge_elkan,
-    overlap_coefficient,
     token_set_ratio,
 )
 from repro.text.tokenize import count_tokens, word_tokens
@@ -23,14 +21,11 @@ from repro.text.phonetic import soundex
 
 __all__ = [
     "normalize_text",
-    "normalize_token",
     "strip_accents",
     "levenshtein",
     "levenshtein_similarity",
     "jaro_winkler",
     "jaccard",
-    "overlap_coefficient",
-    "cosine_similarity",
     "monge_elkan",
     "token_set_ratio",
     "count_tokens",

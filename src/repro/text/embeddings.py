@@ -9,7 +9,7 @@ property cluster batching needs (homogeneous batches of similar instances).
 Two embedding kernels produce bit-identical vectors:
 
 - the **scalar** reference path (:meth:`HashingEmbedder.embed`, and
-  :func:`repro.testing.reference.embed_all_reference` row by row over it)
+  the test oracle ``embed_all_reference`` row by row over it)
   hashes one term at a time in a Python loop — simple, obviously correct,
   and what the property tests anchor on;
 - the **vectorized** path (:meth:`HashingEmbedder.embed_all`) works through
@@ -372,24 +372,6 @@ class HashingEmbedder:
     def similarity(self, a: str, b: str) -> float:
         """Cosine similarity of two texts under this embedder."""
         return float(np.dot(self.embed(a), self.embed(b)))
-
-
-def nearest_neighbors(
-    query: np.ndarray, matrix: np.ndarray, k: int = 5
-) -> list[int]:
-    """Indices of the ``k`` rows of ``matrix`` most cosine-similar to ``query``.
-
-    Rows are assumed L2-normalized (as produced by :class:`HashingEmbedder`).
-    Ties are broken by row index (ascending), so the result is a pure
-    function of the scores — ``argpartition``'s internal ordering never
-    leaks into the output.
-    """
-    if matrix.shape[0] == 0:
-        return []
-    scores = matrix @ query
-    k = min(k, matrix.shape[0])
-    top = np.argpartition(-scores, k - 1)[:k]
-    return sorted(top.tolist(), key=lambda i: (-float(scores[i]), i))
 
 
 def average_pairwise_similarity(matrix: np.ndarray) -> float:

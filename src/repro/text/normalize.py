@@ -6,7 +6,6 @@ import re
 import unicodedata
 
 _WHITESPACE_RE = re.compile(r"\s+")
-_PUNCT_RE = re.compile(r"[^\w\s]")
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9\s]")
 
 #: ASCII fast path for ``normalize_text``: after lowercasing, keep
@@ -47,11 +46,6 @@ def normalize_text(text: str, keep_punct: bool = False) -> str:
     if not keep_punct:
         text = _NON_ALNUM_RE.sub(" ", text)
     return _WHITESPACE_RE.sub(" ", text).strip()
-
-
-def normalize_token(token: str) -> str:
-    """Normalize a single token: lowercase, accent-free, punctuation-free."""
-    return _PUNCT_RE.sub("", strip_accents(token).lower())
 
 
 _ABBREVIATIONS = {
@@ -98,22 +92,6 @@ def expand_abbreviations(text: str) -> str:
     for token in text.split():
         out.append(_ABBREVIATIONS.get(token.lower(), token))
     return " ".join(out)
-
-
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
-
-
-def extract_numbers(text: str) -> list[float]:
-    """All numbers mentioned in ``text``, in order of appearance."""
-    return [float(m) for m in _NUMBER_RE.findall(text)]
-
-
-_YEAR_RE = re.compile(r"\b(19\d{2}|20\d{2})\b")
-
-
-def extract_years(text: str) -> list[int]:
-    """Four-digit years (1900-2099) mentioned in ``text``."""
-    return [int(m) for m in _YEAR_RE.findall(text)]
 
 
 _PHONE_RE = re.compile(r"(\d{3})[\s\-./()]*(\d{3})[\s\-./()]*(\d{4})")

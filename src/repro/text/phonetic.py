@@ -42,8 +42,3 @@ def soundex(word: str) -> str:
                 break
         previous_code = code
     return "".join(encoded).ljust(4, "0")
-
-
-def sounds_like(a: str, b: str) -> bool:
-    """Whether two words share a Soundex code (cheap typo evidence)."""
-    return soundex(a) == soundex(b)

@@ -7,8 +7,6 @@ built from, implemented from scratch on the stdlib.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -25,8 +23,8 @@ def levenshtein(a: str, b: str) -> int:
     a fixed number of integer operations, so the cost is O(len(a)) big-int
     steps instead of O(len(a) * len(b)) cell updates.  Python integers
     are unbounded, so strings longer than a machine word need no blocks.
-    The two-row dynamic program it replaces is kept as the oracle,
-    :func:`repro.testing.reference.levenshtein_reference`.
+    The two-row dynamic program it replaces is kept as the test oracle
+    ``levenshtein_reference`` in ``tests/oracles.py``.
     """
     if a == b:
         return 0
@@ -137,35 +135,6 @@ def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
     if not union:
         return 1.0
     return len(sa & sb) / len(union)
-
-
-def overlap_coefficient(a: Iterable[str], b: Iterable[str]) -> float:
-    """Szymkiewicz-Simpson overlap: |A ∩ B| / min(|A|, |B|)."""
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
-        return 1.0 if not sa and not sb else 0.0
-    return len(sa & sb) / min(len(sa), len(sb))
-
-
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine of the angle between two dense vectors; 0.0 for a zero vector."""
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
-
-
-def cosine_token_similarity(a: Iterable[str], b: Iterable[str]) -> float:
-    """Cosine similarity of token multisets (bag-of-words, raw counts)."""
-    ca, cb = Counter(a), Counter(b)
-    if not ca or not cb:
-        return 1.0 if not ca and not cb else 0.0
-    dot = sum(count * cb.get(token, 0) for token, count in ca.items())
-    na = math.sqrt(sum(c * c for c in ca.values()))
-    nb = math.sqrt(sum(c * c for c in cb.values()))
-    return dot / (na * nb)
 
 
 def monge_elkan(

@@ -15,20 +15,10 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.text.normalize import normalize_text
-from repro.text.similarity import ngrams
 
 
 def _default_analyzer(text: str) -> list[str]:
     return normalize_text(text).split()
-
-
-def char_ngram_analyzer(n: int = 3) -> Callable[[str], list[str]]:
-    """An analyzer producing character n-grams of the normalized text."""
-
-    def analyze(text: str) -> list[str]:
-        return ngrams(normalize_text(text), n)
-
-    return analyze
 
 
 class TfidfVectorizer:
@@ -95,15 +85,3 @@ class TfidfVectorizer:
 
     def fit_transform(self, documents: Sequence[str]) -> np.ndarray:
         return self.fit(documents).transform(documents)
-
-
-def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities between rows of ``a`` and rows of ``b``.
-
-    Assumes rows may not be normalized; normalizes defensively.
-    """
-    a_norm = np.linalg.norm(a, axis=1, keepdims=True)
-    b_norm = np.linalg.norm(b, axis=1, keepdims=True)
-    a_norm[a_norm == 0.0] = 1.0
-    b_norm[b_norm == 0.0] = 1.0
-    return (a / a_norm) @ (b / b_norm).T

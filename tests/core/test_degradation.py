@@ -18,9 +18,10 @@ from repro.eval.reporting import format_score_with_coverage
 from repro.data.instances import Task
 from repro.llm.accounting import meter_response
 from repro.llm.base import CompletionRequest, CompletionResponse
-from repro.llm.faults import Fault, FaultInjectingClient, fail_first
+from repro.llm.faults import Fault, FaultInjectingClient
 from repro.llm.profiles import get_profile
 from repro.llm.simulated import SimulatedLLM
+from tests.fixtures import fail_first
 
 
 class _GarbageClient:

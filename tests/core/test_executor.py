@@ -16,8 +16,9 @@ from repro.llm.base import (
     CompletionResponse,
     Usage,
 )
-from repro.llm.faults import Fault, FaultInjectingClient, fail_first
+from repro.llm.faults import Fault, FaultInjectingClient
 from repro.llm.ratelimit import RateLimit
+from tests.fixtures import fail_first
 
 
 def _request(i=1):

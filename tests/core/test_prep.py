@@ -1,7 +1,5 @@
 """Tests for repro.core.prep (the shared data-prep artifact cache)."""
 
-import numpy as np
-
 from repro.core.batching import batch_homogeneity, make_batches
 from repro.core.prep import PrepArtifacts
 from repro.obs.metrics import MetricsRegistry
@@ -166,21 +164,3 @@ class TestFingerprint:
         assert prep.fingerprint(instances) != prep.fingerprint(
             list(reversed(instances))
         )
-
-
-class TestNearestNeighborTieBreak:
-    def test_equal_scores_ordered_by_index(self):
-        from repro.text.embeddings import nearest_neighbors
-
-        # Five identical rows: every score ties, so the winner set must be
-        # the lowest indices, in ascending order.
-        row = np.ones(8) / np.sqrt(8.0)
-        matrix = np.tile(row, (5, 1))
-        assert nearest_neighbors(row, matrix, k=3) == [0, 1, 2]
-
-    def test_distinct_scores_sorted_descending(self):
-        from repro.text.embeddings import nearest_neighbors
-
-        query = np.array([1.0, 0.0])
-        matrix = np.array([[0.0, 1.0], [1.0, 0.0], [0.6, 0.8]])
-        assert nearest_neighbors(query, matrix, k=2) == [1, 2]

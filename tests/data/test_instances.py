@@ -8,7 +8,6 @@ from repro.data.instances import (
     PreprocessingDataset,
     Task,
     ground_truth_labels,
-    schema_of,
 )
 from repro.data.records import Record
 from repro.data.schema import Schema
@@ -118,6 +117,3 @@ class TestHelpers:
         di = DIInstance(record=record, target_attribute="a", true_value="v")
         assert ground_truth_labels([ed]) == [True]
         assert ground_truth_labels([di]) == ["v"]
-
-    def test_schema_of_ed(self, schema):
-        assert schema_of(_ed(schema, True)) is schema

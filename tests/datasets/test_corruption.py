@@ -10,7 +10,6 @@ from repro.datasets.corruption import (
     domain_violation,
     numeric_outlier,
     typo,
-    value_swap,
 )
 from repro.errors import DatasetError
 
@@ -68,16 +67,6 @@ class TestNumericOutlier:
     def test_bad_range(self):
         with pytest.raises(DatasetError):
             numeric_outlier(1, random.Random(0), scale_range=(0.5, 2.0))
-
-
-class TestValueSwap:
-    def test_swap(self):
-        a, b = value_swap("x", "y")
-        assert a.corrupted == "y" and b.corrupted == "x"
-
-    def test_equal_rejected(self):
-        with pytest.raises(DatasetError):
-            value_swap("x", "x")
 
 
 class TestCorruptionInvariants:

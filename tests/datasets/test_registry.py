@@ -118,15 +118,19 @@ class TestSchemaCacheKeys:
     def test_sequential_reregistration_under_one_name(self):
         """Register schema A under a name, drop it, register schema B
         under the same name: the cache must not serve A's data for B."""
-        from repro.datasets.registry import _GENERATORS, clear_cache
-        from repro.factory import preset, register_schema
+        from repro.datasets.registry import (
+            _GENERATORS,
+            clear_cache,
+            register_dataset,
+        )
+        from repro.factory import SchemaGenerator, preset
 
         name = "reused_name_for_cache_test"
         try:
-            register_schema(preset("adult_replica"), name=name)
+            register_dataset(SchemaGenerator(preset("adult_replica"), name=name))
             first = load_dataset(name, size=10, seed=0)
             del _GENERATORS[name]
-            register_schema(preset("orders"), name=name)
+            register_dataset(SchemaGenerator(preset("orders"), name=name))
             second = load_dataset(name, size=10, seed=0)
             assert first is not second
             # different schemas -> different records, same registered name

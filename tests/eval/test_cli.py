@@ -67,11 +67,12 @@ class TestCliRoundTrip:
         assert canonical_json(json.loads(canonical_json(loaded.to_dict()))) \
             == canonical_json(loaded.to_dict())
 
-    def test_trace_rejects_missing_manifest(self, tmp_path):
-        from repro.obs import ManifestError
-
-        with pytest.raises(ManifestError):
-            main(["trace", str(tmp_path / "absent.json")])
+    def test_trace_rejects_missing_manifest(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        assert main(["trace", str(absent)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(absent) in err
+        assert len(err.splitlines()) == 1
 
 
 class TestRunJournalCli:
@@ -115,6 +116,16 @@ class TestRunJournalCli:
         ]) == 2
         err = capsys.readouterr().err
         assert "unsupported journal version 1 (this build reads 3)" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dataset", "adult", "--size", "0"], "size must be positive, got 0"),
+        (["--dataset", "nosuch"], "unknown dataset 'nosuch'"),
+    ], ids=["size_0", "unknown_dataset"])
+    def test_bad_dataset_exits_2_with_one_line(self, argv, message, capsys):
+        assert main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
 
 
 class TestGoldenCli:

@@ -9,7 +9,6 @@ from repro.eval.metrics import (
     accuracy,
     confusion_counts,
     f1_score,
-    precision_recall_f1,
     score_predictions,
     values_match,
 )
@@ -40,8 +39,8 @@ class TestF1:
         assert f1_score(predictions, labels) == pytest.approx(4 / 7)
 
     def test_prf_triple(self):
-        p, r, f = precision_recall_f1([True], [True])
-        assert (p, r, f) == (1.0, 1.0, 1.0)
+        m = confusion_counts([True], [True])
+        assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
 
     def test_degenerate_all_negative(self):
         assert f1_score([False], [False]) == 0.0

@@ -8,7 +8,6 @@ from repro.eval.reporting import (
     format_score,
     render_execution_report,
     render_table,
-    side_by_side,
 )
 
 
@@ -38,10 +37,6 @@ class TestFormatters:
     def test_format_score(self):
         assert format_score(0.925) == "92.5"
         assert format_score(None) == "N/A"
-
-    def test_side_by_side(self):
-        assert side_by_side("92.5", 92.0) == "92.5 (92.0)"
-        assert side_by_side("92.5", None) == "92.5"
 
 
 class TestExecutionReportRendering:

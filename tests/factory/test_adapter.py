@@ -8,13 +8,12 @@ import pytest
 from repro.core.contextualize import serialize_instance
 from repro.data.instances import Task
 from repro.datasets import SCHEMA_PREFIX, dataset_info, load_dataset
-from repro.datasets.registry import _GENERATORS, clear_cache
+from repro.datasets.registry import _GENERATORS, clear_cache, register_dataset
 from repro.errors import ConfigError, DatasetError
 from repro.factory import (
     InstanceFactory,
     SchemaGenerator,
     preset,
-    register_schema,
 )
 from repro.factory.presets import PRESET_NAMES
 
@@ -105,7 +104,7 @@ class TestRegisterSchema:
     def test_registered_schema_loads_by_name(self):
         schema = preset("beer_replica")
         name = "beer_replica_registered_for_test"
-        register_schema(schema, name=name)
+        register_dataset(SchemaGenerator(schema, name=name))
         try:
             dataset = load_dataset(name, size=10, seed=0)
             assert len(dataset) == 10
@@ -115,8 +114,9 @@ class TestRegisterSchema:
 
     def test_schema_prefix_names_are_rejected(self):
         with pytest.raises(DatasetError):
-            register_schema(preset("orders"),
-                            name=f"{SCHEMA_PREFIX}sneaky")
+            register_dataset(
+                SchemaGenerator(preset("orders"), name=f"{SCHEMA_PREFIX}sneaky")
+            )
 
 
 class TestExamplesStayInSyncWithPresets:

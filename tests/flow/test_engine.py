@@ -9,7 +9,6 @@ from repro.flow import (
     FlowEngine,
     FlowGraph,
     StageNode,
-    run_reference_flow,
     table_from_payload,
     table_payload,
 )
@@ -18,6 +17,7 @@ from repro.llm import GarblingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.obs.manifest import canonical_json
 from repro.runtime.journal import ResumeMismatchError
+from tests.fixtures import run_reference_flow
 
 MARKER = "!!GARBLED-CELL!!"
 

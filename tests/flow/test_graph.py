@@ -146,13 +146,6 @@ class TestScheduling:
         backward = FlowGraph(list(reversed(stages)), inputs=("dirty", "clean"))
         assert forward.topological_order() == backward.topological_order()
 
-    def test_downstream_of(self):
-        graph = FlowGraph(diamond_stages(), inputs=("dirty", "clean"))
-        assert graph.downstream_of("impute") == ("match_a", "match_b")
-        assert graph.downstream_of("match_a") == ()
-        with pytest.raises(ConfigError, match="unknown stage"):
-            graph.downstream_of("ghost")
-
 
 class TestIntrospection:
     def test_spec_payload_is_insertion_order_free(self):

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.flow import (
     REFERENCE_FLOW_DOC,
-    REFERENCE_FLOW_YAML,
     load_flow_spec,
     parse_flow,
     reference_spec,
@@ -109,9 +108,13 @@ class TestParsing:
             parse_flow(doc)
 
 
+def example_yaml() -> str:
+    return EXAMPLE_PATH.read_text(encoding="utf-8")
+
+
 class TestYaml:
     def test_yaml_text_parses(self):
-        spec = load_flow_spec(REFERENCE_FLOW_YAML)
+        spec = load_flow_spec(example_yaml())
         assert spec.name == "clean_match_beer"
 
     def test_invalid_yaml_is_config_error(self):
@@ -120,12 +123,12 @@ class TestYaml:
 
     def test_yaml_and_dict_forms_are_equivalent(self):
         """The two shipped forms of the reference flow must not drift."""
-        from_yaml = load_flow_spec(REFERENCE_FLOW_YAML)
+        from_yaml = load_flow_spec(example_yaml())
         from_dict = parse_flow(REFERENCE_FLOW_DOC)
         assert from_yaml.payload() == from_dict.payload()
 
     def test_shipped_example_file_matches_reference(self):
-        spec = load_flow_spec(EXAMPLE_PATH.read_text(encoding="utf-8"))
+        spec = load_flow_spec(example_yaml())
         assert spec.payload() == reference_spec().payload()
 
 

@@ -12,7 +12,7 @@ import pytest
 from repro import PipelineConfig, Preprocessor, SimulatedLLM
 from repro.core.batching import make_batches
 from repro.llm.cache import CachingClient
-from repro.testing.reference import embed_all_reference
+from tests.oracles import embed_all_reference
 from repro.text.embeddings import HashingEmbedder
 
 CONCURRENCIES = (1, 2, 8)

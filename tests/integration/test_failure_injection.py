@@ -20,9 +20,10 @@ from repro.core.executor import ExecutorConfig
 from repro.errors import ContextWindowExceededError, RateLimitError
 from repro.llm.accounting import meter_response
 from repro.llm.base import CompletionRequest, CompletionResponse
-from repro.llm.faults import Fault, FaultInjectingClient, fail_first
+from repro.llm.faults import Fault, FaultInjectingClient
 from repro.llm.profiles import get_profile
 from repro.llm.ratelimit import RateLimit
+from tests.fixtures import fail_first
 
 
 class _FlakyClient:

@@ -7,30 +7,26 @@ import pytest
 from repro.errors import LLMError
 from repro.llm.backend import (
     Backend,
-    CachingBackend,
     Checkpointable,
     FaultBackend,
-    GarblingBackend,
     SimulatedBackend,
 )
 from repro.llm.base import ChatMessage, CompletionRequest
 from repro.llm.faults import Fault
+from tests.fixtures import CachingBackend
 
 
 def _request():
-    from repro.testing.reference import build_decode_requests
+    from tests.oracles import build_decode_requests
 
     return build_decode_requests(1)[0]
 
 
 def _stack():
     return CachingBackend(
-        GarblingBackend(
-            FaultBackend(
-                SimulatedBackend(model="gpt-3.5", seed=7),
-                {2: Fault(kind="rate_limit", message="slow down")},
-            ),
-            triggers=("never-matches",),
+        FaultBackend(
+            SimulatedBackend(model="gpt-3.5", seed=7),
+            {2: Fault(kind="rate_limit", message="slow down")},
         ),
         max_entries=64,
     )
@@ -40,10 +36,9 @@ class TestBackendProtocol:
     @pytest.mark.parametrize("backend", [
         SimulatedBackend(),
         FaultBackend(SimulatedBackend(), {}),
-        GarblingBackend(SimulatedBackend()),
         CachingBackend(SimulatedBackend()),
         _stack(),
-    ], ids=["simulated", "faults", "garbling", "caching", "stack"])
+    ], ids=["simulated", "faults", "caching", "stack"])
     def test_every_backend_satisfies_the_protocol(self, backend):
         assert isinstance(backend, Backend)
 
@@ -54,7 +49,7 @@ class TestBackendProtocol:
         described = _stack().describe()
         assert described == _stack().describe()
         assert described["kind"] == "caching"
-        assert described["inner"]["inner"]["inner"]["model"] == "gpt-3.5"
+        assert described["inner"]["inner"]["model"] == "gpt-3.5"
 
 
 class TestPicklability:
@@ -82,6 +77,14 @@ class TestFaultBackendPlans:
     def test_callable_plans_are_rejected_at_construction(self):
         with pytest.raises(LLMError, match="callable"):
             FaultBackend(SimulatedBackend(), lambda request, index: None)
+
+    @pytest.mark.parametrize("plan", [
+        {1: Fault(kind="rate_limit"), "deadbeef": Fault(kind="rate_limit")},
+        {1.0: Fault(kind="rate_limit")},
+    ], ids=["mixed_keys", "float_key"])
+    def test_plans_the_injector_refuses_are_rejected_at_construction(self, plan):
+        with pytest.raises(LLMError, match="keyed entirely"):
+            FaultBackend(SimulatedBackend(), plan)
 
     def test_positional_entries_must_map_to_one_fault(self):
         with pytest.raises(LLMError, match="positional"):

@@ -1,7 +1,7 @@
 """The production decode path against the memo-free reference decoder.
 
 :class:`SimulatedLLM` remembers shared prompt blocks, solver fits and
-token counts; :class:`~repro.testing.reference.ReferenceLLM` decodes every
+token counts; :class:`~tests.oracles.ReferenceLLM` decodes every
 request from scratch.  The memo may only ever change host-CPU cost:
 everything a caller can observe — reply text, token usage, latency, retry
 resampling — must match the reference exactly, because the reference is
@@ -19,7 +19,7 @@ from repro.llm.accounting import _shared_block_tokens
 from repro.llm.base import ChatMessage, CompletionRequest
 from repro.llm.promptparse import MEMO_MAX_ENTRIES, PromptParseMemo
 from repro.llm.simulated import SimulatedLLM
-from repro.testing.reference import (
+from tests.oracles import (
     ReferenceLLM,
     build_decode_requests,
     decode_microbench,

@@ -10,14 +10,9 @@ import pytest
 
 from repro.errors import InjectedCrashError, LLMError, TransientLLMError
 from repro.llm.base import ChatMessage, CompletionRequest
-from repro.llm.faults import (
-    Fault,
-    FaultInjectingClient,
-    fail_every,
-    fail_first,
-    request_fingerprint,
-)
+from repro.llm.faults import Fault, FaultInjectingClient, request_fingerprint
 from repro.llm.simulated import SimulatedLLM
+from tests.fixtures import fail_first
 
 
 def _request(content="hello", model="gpt-3.5", temperature=0.75):
@@ -114,12 +109,15 @@ class TestPositionalPlans:
         client.complete(_request())
         assert client.n_calls == 3
 
-    def test_fail_first_and_fail_every_helpers(self):
+    def test_callable_plans_fault_by_call_index(self):
         first = FaultInjectingClient(_EchoClient(), fail_first(1, Fault("transient")))
         with pytest.raises(TransientLLMError):
             first.complete(_request())
         first.complete(_request())
-        every = FaultInjectingClient(_EchoClient(), fail_every(2, Fault("transient")))
+        fault = Fault("transient")
+        every = FaultInjectingClient(
+            _EchoClient(), lambda index: fault if index % 2 == 0 else None
+        )
         every.complete(_request())
         with pytest.raises(TransientLLMError):
             every.complete(_request())

@@ -4,12 +4,12 @@ import pytest
 
 from repro.data.instances import Task
 from repro.errors import UnknownModelError
-from repro.llm.profiles import LatencyModel, ModelProfile, get_profile, list_profiles
+from repro.llm.profiles import _PROFILES, LatencyModel, ModelProfile, get_profile
 
 
 class TestRegistry:
     def test_four_models(self):
-        assert set(list_profiles()) == {"gpt-3.5", "gpt-4", "gpt-3", "vicuna-13b"}
+        assert set(_PROFILES) == {"gpt-3.5", "gpt-4", "gpt-3", "vicuna-13b"}
 
     def test_unknown_model(self):
         with pytest.raises(UnknownModelError):

@@ -29,12 +29,6 @@ class TestLogisticRegression:
         p = LogisticRegression().fit(X, y).predict_proba(X)
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
-    def test_decision_function_sign_matches_prediction(self, separable):
-        X, y = separable
-        model = LogisticRegression().fit(X, y)
-        logits = model.decision_function(X)
-        assert np.array_equal(logits >= 0, model.predict(X) == 1)
-
     def test_balanced_weighting_helps_minority_recall(self):
         rng = np.random.default_rng(1)
         X0 = rng.normal(loc=-0.4, size=(500, 1))

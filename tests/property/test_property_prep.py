@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.ml import kmeans
 from repro.ml.kmeans import KMeans, row_sq_norms, sq_distances_to
-from repro.testing.reference import embed_all_reference
+from tests.oracles import embed_all_reference
 from repro.text import embeddings
 from repro.text.embeddings import HashingEmbedder
 

@@ -70,6 +70,8 @@ def _reference_coerce_cell(value, attr):
                 as_float = float(value)
             except ValueError:
                 return value
+            if as_float != as_float:
+                return value
             return int(as_float) if as_float.is_integer() else as_float
         return value
     if isinstance(value, bool):

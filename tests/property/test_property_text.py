@@ -5,7 +5,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.testing.reference import levenshtein_reference
+from tests.oracles import levenshtein_reference
 from repro.text.normalize import normalize_text, strip_accents
 from repro.text.phonetic import soundex
 from repro.text.similarity import (

@@ -20,8 +20,9 @@ from repro.llm.base import (
     CompletionResponse,
     Usage,
 )
-from repro.llm.faults import Fault, FaultInjectingClient, fail_first
+from repro.llm.faults import Fault, FaultInjectingClient
 from repro.resilience import AimdController, ResilienceConfig
+from tests.fixtures import fail_first
 
 
 def _request(i=1):

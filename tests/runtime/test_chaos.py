@@ -11,7 +11,7 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import Preprocessor
 from repro.datasets import load_dataset
-from repro.llm.backend import CachingBackend, SimulatedBackend
+from repro.llm.backend import SimulatedBackend
 from repro.llm.cache import CachingClient
 from repro.llm.faults import DegradedClient
 from repro.llm.simulated import SimulatedLLM
@@ -24,6 +24,7 @@ from repro.runtime.chaos import (
     run_crash_trial,
 )
 from repro.runtime.journal import RunJournal
+from tests.fixtures import CachingBackend
 
 BROWNOUT = brownout_plan(seed=0)
 BLACKOUT = blackout_plan(seed=0, start_s=5.0, duration_s=20.0)

@@ -13,10 +13,11 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.errors import InjectedCrashError
-from repro.flow import FLOW_CRASH_SITES, FlowChaos, run_reference_flow
+from repro.flow import FLOW_CRASH_SITES, FlowChaos
 from repro.llm.faults import Fault, FaultInjectingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.obs.manifest import canonical_json
+from tests.fixtures import run_reference_flow
 
 STAGES = ("detect", "impute", "align", "match")
 

@@ -94,6 +94,9 @@ def test_admission_times_must_be_nondecreasing():
     assert window.try_admit(1, 5.0) is None
     with pytest.raises(ValueError):
         window.try_admit(1, 4.0)
+    with pytest.raises(ValueError):
+        window.try_admit(1, float("nan"))
+    assert window.try_admit(1, 5.0) is None
 
 
 # -- tenant bookkeeping ----------------------------------------------------

@@ -94,6 +94,8 @@ def _refused_trace(kind, make_trace, restaurant_dataset):
     rows = [("tenant-0", 0.5 * i, i) for i in range(5)]
     if kind == "unsorted":
         return make_trace(rows + [("tenant-0", 0.25, 5)])
+    if kind == "nan":
+        return make_trace(rows + [("tenant-0", float("nan"), 5)])
     if kind == "unknown_tenant":
         return make_trace(rows + [("ghost", 3.0, 5)])
     foreign = list(restaurant_dataset.instances)[0]
@@ -105,7 +107,7 @@ class TestRefusedTraceLeavesNoTrace:
     no budget charged, nothing queued, no counter, no clock moved."""
 
     @pytest.mark.parametrize(
-        "kind", ["unsorted", "wrong_task", "unknown_tenant"]
+        "kind", ["unsorted", "nan", "wrong_task", "unknown_tenant"]
     )
     def test_next_serve_equals_a_fresh_service(
         self, make_service, make_trace, restaurant_dataset, kind

@@ -75,13 +75,6 @@ class TestPlanShards:
                     == spec.shard_id
                 )
 
-    def test_shard_for_index_inverts_the_partition(self, dataset, config):
-        plan = plan_shards(dataset, config, 4)
-        for spec in plan.nonempty_shards:
-            assert plan.shard_for_index(spec.indices[0]) == spec.shard_id
-        with pytest.raises(ShardError):
-            plan.shard_for_index(len(dataset.instances))
-
     def test_describe_is_plain_data(self, dataset, config):
         described = plan_shards(dataset, config, 4).describe()
         assert described["n_instances"] == len(dataset.instances)

@@ -5,10 +5,11 @@ completion call of a recorded run, the raw model reply together with the
 outcome the parsing stack produced at capture time — the strict
 :func:`~repro.core.parsing.parse_batch_answers` result (or the
 :class:`~repro.errors.AnswerFormatError` it raised) and the lenient
-:func:`~repro.core.parsing.parse_batch_answers_lenient` salvage.  The
-replay runner re-feeds those replies through the *current* parser and
-diffs the outcomes, so a parser refactor is checked in milliseconds
-without re-running any pipeline.
+:func:`~repro.core.parsing.parse_batch_answers_lenient` salvage, as
+:func:`~repro.testing.golden.parse_outcomes` records them.  The replay
+runner re-feeds those replies through the *current* parser and diffs the
+outcomes, so a parser refactor is checked in milliseconds without
+re-running any pipeline.
 
 The runner accepts an alternative parsing module, which is how the
 mutation canary works: :func:`load_mutated_parsing` compiles
@@ -28,36 +29,12 @@ from types import ModuleType
 
 from repro.core import parsing as _live_parsing
 from repro.data.instances import Task
-from repro.errors import AnswerFormatError, ReproError
-from repro.obs.manifest import jsonable
+from repro.errors import ReproError
+from repro.testing.golden import parse_outcomes
 
 
 class ReplayError(ReproError):
     """A recorded reply could not be replayed (malformed snapshot, bad mutant)."""
-
-
-def parse_outcomes(
-    reply: str,
-    task: Task,
-    expected: int,
-    parsing_module: ModuleType | None = None,
-) -> dict:
-    """Run the strict and lenient parser stacks over one recorded reply.
-
-    Returns a JSON-native record — ``{"strict": {"ok": [...]}}`` or
-    ``{"strict": {"error": "..."}}`` plus ``{"lenient": [...]}`` — so the
-    result compares ``==`` against what a snapshot loaded from disk holds.
-    Any exception other than :class:`AnswerFormatError` propagates: the
-    strict parser raising something else is itself a conformance bug.
-    """
-    module = parsing_module if parsing_module is not None else _live_parsing
-    strict: dict
-    try:
-        strict = {"ok": module.parse_batch_answers(reply, task, expected)}
-    except AnswerFormatError as err:
-        strict = {"error": str(err)}
-    lenient = module.parse_batch_answers_lenient(reply, task, expected)
-    return {"strict": jsonable(strict), "lenient": jsonable(lenient)}
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,11 @@ import pytest
 from repro.core import parsing as live_parsing
 from repro.data.instances import Task
 from repro.errors import AnswerFormatError
-from repro.testing import (
-    GOLDEN_CELLS,
-    GoldenStore,
+from repro.testing import GOLDEN_CELLS, GoldenStore
+from repro.testing.golden import parse_outcomes
+from tests.testing.replay import (
     ReplayError,
     load_mutated_parsing,
-    parse_outcomes,
     replay_exchanges,
     replay_snapshot,
 )

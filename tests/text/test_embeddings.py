@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.testing.reference import embed_all_reference
+from tests.oracles import embed_all_reference
 from repro.text.embeddings import (
     HashingEmbedder,
     average_pairwise_similarity,
     clear_hash_cache,
     hash_cache_size,
-    nearest_neighbors,
 )
 
 
@@ -85,27 +84,6 @@ class TestVectorizedKernel:
         large = HashingEmbedder(dim=512).embed_all(corpus)
         assert (small == embed_all_reference(HashingEmbedder(dim=16), corpus)).all()
         assert (large == embed_all_reference(HashingEmbedder(dim=512), corpus)).all()
-
-
-class TestNeighbors:
-    def test_nearest_first(self):
-        e = HashingEmbedder()
-        corpus = ["red apple", "green apple", "blue car"]
-        matrix = e.embed_all(corpus)
-        order = nearest_neighbors(e.embed("red apple pie"), matrix, k=2)
-        assert order[0] == 0
-
-    def test_empty_matrix(self):
-        e = HashingEmbedder(dim=8)
-        assert nearest_neighbors(e.embed("x"), np.zeros((0, 8))) == []
-
-    def test_ties_break_by_index(self):
-        # All rows identical: scores tie exactly, and the stable order is
-        # ascending index — argpartition internals must not leak through.
-        row = np.ones(4) / 2.0
-        matrix = np.tile(row, (6, 1))
-        for k in (1, 3, 6):
-            assert nearest_neighbors(row, matrix, k=k) == list(range(k))
 
 
 class TestPairwiseSimilarity:

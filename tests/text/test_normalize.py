@@ -2,11 +2,8 @@
 
 from repro.text.normalize import (
     expand_abbreviations,
-    extract_numbers,
     extract_phone,
-    extract_years,
     normalize_text,
-    normalize_token,
     strip_accents,
 )
 
@@ -26,9 +23,6 @@ class TestNormalizeText:
 
 
 class TestTokens:
-    def test_normalize_token(self):
-        assert normalize_token("Río!") == "rio"
-
     def test_strip_accents_only(self):
         assert strip_accents("Ångström") == "Angstrom"
 
@@ -45,12 +39,6 @@ class TestAbbreviations:
 
 
 class TestExtractors:
-    def test_numbers(self):
-        assert extract_numbers("a 12 b 3.5c") == [12.0, 3.5]
-
-    def test_years_bounds(self):
-        assert extract_years("in 1999 and 2050, not 1850 or 2150") == [1999, 2050]
-
     def test_phone_formats_canonicalized(self):
         assert extract_phone("(404) 555-1234") == "404-555-1234"
         assert extract_phone("404.555.1234") == "404-555-1234"

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.text.similarity import (
-    cosine_similarity,
-    cosine_token_similarity,
     jaccard,
     jaro_winkler,
     levenshtein,
     levenshtein_similarity,
     monge_elkan,
     ngrams,
-    overlap_coefficient,
     token_set_ratio,
 )
 
@@ -70,26 +67,6 @@ class TestSetMeasures:
         assert jaccard(["a", "b"], ["b", "c"]) == pytest.approx(1 / 3)
         assert jaccard([], []) == 1.0
         assert jaccard(["a"], []) == 0.0
-
-    def test_overlap(self):
-        assert overlap_coefficient(["a", "b"], ["b"]) == 1.0
-        assert overlap_coefficient([], []) == 1.0
-        assert overlap_coefficient(["a"], []) == 0.0
-
-    def test_cosine_tokens(self):
-        assert cosine_token_similarity(["a", "a"], ["a"]) == pytest.approx(1.0)
-        assert cosine_token_similarity(["a"], ["b"]) == 0.0
-
-
-class TestCosineVectors:
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
-
-    def test_parallel(self):
-        assert cosine_similarity([1, 2], [2, 4]) == pytest.approx(1.0)
-
-    def test_zero_vector(self):
-        assert cosine_similarity([0, 0], [1, 1]) == 0.0
 
 
 class TestMongeElkan:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.text.tfidf import TfidfVectorizer, char_ngram_analyzer, cosine_matrix
+from repro.text.tfidf import TfidfVectorizer
 
 
 class TestTfidfVectorizer:
@@ -41,23 +41,3 @@ class TestTfidfVectorizer:
     def test_min_df_validation(self):
         with pytest.raises(ValueError):
             TfidfVectorizer(min_df=0)
-
-    def test_char_ngram_analyzer(self):
-        analyzer = char_ngram_analyzer(3)
-        grams = analyzer("ab")
-        assert "#ab" in grams
-
-
-class TestCosineMatrix:
-    def test_shape_and_values(self):
-        a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        b = np.array([[1.0, 0.0]])
-        sims = cosine_matrix(a, b)
-        assert sims.shape == (2, 1)
-        assert sims[0, 0] == pytest.approx(1.0)
-        assert sims[1, 0] == pytest.approx(0.0)
-
-    def test_zero_rows_handled(self):
-        a = np.zeros((1, 3))
-        b = np.ones((1, 3))
-        assert cosine_matrix(a, b)[0, 0] == 0.0
